@@ -6,7 +6,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: all build test vet lint fmt fmt-check cover bench bench-check bench-alloc bench-baseline bench-speedup race-parallel race-parallel-4 golden-gogcoff telemetry-check dist-chaos ci
+.PHONY: all build test vet lint fmt fmt-check cover bench bench-check bench-alloc bench-baseline bench-speedup bench-ab race-parallel race-parallel-4 golden-gogcoff telemetry-check dist-chaos ci
 
 all: build
 
@@ -79,6 +79,17 @@ bench-speedup:
 	set -o pipefail; $(GO) test -json -bench='PerfGate/knee-parallel' -benchtime=1x -run='^$$' . \
 		| tee bench-speedup.json \
 		| $(GO) run ./cmd/benchgate -speedup-log BENCH_speedup.json -label "$${SPEEDUP_LABEL:-local}"
+
+# bench-ab is the paired wall-clock comparison a speed claim rests on:
+# ten alternating pairs of one BENCHMARK.json workload between BASE (a
+# git ref, exported to a temporary directory) and the working tree, with
+# each side's median and quartiles and the pair win count.
+#	make bench-ab BASE=HEAD~1 WORKLOAD=knee.serial
+PAIRS ?= 10
+METRIC ?= sim_cycles_per_s
+bench-ab:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab BASE=<ref> WORKLOAD=<name> [PAIRS=10] [METRIC=sim_cycles_per_s]" >&2; exit 2; }
+	bash tools/bench-ab.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(METRIC)"
 
 # golden-gogcoff re-runs the cross-engine golden matrix's knee points
 # (every topology and switching mode at the near-saturation load) with

@@ -15,7 +15,8 @@
 // A second mode maintains the tracked speedup history: -speedup-log
 // reads the knee-parallel bench's report-only wall metrics (gomaxprocs,
 // numcpu, shards, raw serial/parallel wall times, speedup) from the
-// same stream and records one labeled entry in a JSON array file
+// same stream and records one labeled entry, stamped with the host's CPU
+// model and the Go version, in a JSON array file
 // (BENCH_speedup.json) — re-running with an existing label replaces
 // that record instead of appending — so runs on real multi-core hosts
 // accumulate a per-commit speedup trajectory next to the deterministic
@@ -43,6 +44,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,11 +108,13 @@ func parseBench(line string) (name string, metrics map[string]float64, ok bool) 
 }
 
 // collect reads a `go test -json` stream (or raw bench output) and
-// returns metric values keyed by "bench\x00metric". The -json encoder
-// splits one benchmark result line across several output events (the
-// name flushes before the timings), so the stream's output text is
-// reassembled first and parsed line by line.
-func collect(r io.Reader) (map[string]float64, error) {
+// returns metric values keyed by "bench\x00metric", plus the CPU model
+// of the host that ran the benchmarks (the stream's "cpu:" line; empty
+// when go test could not tell). The -json encoder splits one benchmark
+// result line across several output events (the name flushes before the
+// timings), so the stream's output text is reassembled first and parsed
+// line by line.
+func collect(r io.Reader) (got map[string]float64, cpu string, err error) {
 	var text strings.Builder
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -130,17 +134,21 @@ func collect(r io.Reader) (map[string]float64, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	got := make(map[string]float64)
+	got = make(map[string]float64)
 	for _, line := range strings.Split(text.String(), "\n") {
-		if name, metrics, ok := parseBench(strings.TrimSpace(line)); ok {
+		line = strings.TrimSpace(line)
+		if model, ok := strings.CutPrefix(line, "cpu: "); ok {
+			cpu = model
+		}
+		if name, metrics, ok := parseBench(line); ok {
 			for unit, v := range metrics {
 				got[name+"\x00"+unit] = v
 			}
 		}
 	}
-	return got, nil
+	return got, cpu, nil
 }
 
 func main() {
@@ -194,7 +202,7 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	got, err := collect(in)
+	got, _, err := collect(in)
 	if err != nil {
 		fatal(err)
 	}
@@ -295,11 +303,18 @@ type result struct {
 
 // speedupRecord is one entry of the tracked speedup history
 // (BENCH_speedup.json): the knee-parallel bench's report-only wall
-// metrics plus the host parallelism that produced them. The speedup
-// figure is only meaningful relative to gomaxprocs/numcpu, which is why
-// they travel together.
+// metrics plus the host that produced them. The speedup figure is only
+// meaningful relative to gomaxprocs/numcpu, and the raw wall times only
+// between records of one machine and toolchain (records without a host
+// identity were once read as a code regression; see EXPERIMENTS.md). CPU
+// is the model `go test` printed into the stream; Go is the toolchain of
+// this benchgate, which `make bench-speedup` runs from the same `go` as
+// the benchmark. Records written before the two fields existed read
+// back with them empty.
 type speedupRecord struct {
 	Label      string  `json:"label"`
+	CPU        string  `json:"cpu,omitempty"`
+	Go         string  `json:"go,omitempty"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
 	NumCPU     int     `json:"numcpu"`
 	Shards     int     `json:"shards"`
@@ -315,7 +330,7 @@ type speedupRecord struct {
 // repeated local runs and per-commit CI re-runs keep the history one
 // record per label instead of accreting duplicates.
 func appendSpeedup(path, label string, in io.Reader) (speedupRecord, error) {
-	got, err := collect(in)
+	got, cpu, err := collect(in)
 	if err != nil {
 		return speedupRecord{}, err
 	}
@@ -327,7 +342,7 @@ func appendSpeedup(path, label string, in io.Reader) (speedupRecord, error) {
 		}
 		return v, nil
 	}
-	rec := speedupRecord{Label: label}
+	rec := speedupRecord{Label: label, CPU: cpu, Go: runtime.Version()}
 	fields := []struct {
 		unit string
 		dst  *float64

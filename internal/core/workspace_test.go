@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -147,6 +148,47 @@ func TestWorkspaceReuseRandomizedSequences(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d step %d %s: workspace diverged from fresh run", trial, step, s.Label())
 			}
+		}
+	}
+}
+
+// Every router queue carries the stage stamp of its last push. A
+// saturated run A leaves flits — and their stamps — in the buffers when
+// it stops; run B on the same workspace then counts its cycles up
+// through every value those stamps hold. B must come out byte for byte
+// as on a fresh workspace, under every engine.
+func TestWorkspaceReuseAfterLoadedRunIsByteIdentical(t *testing.T) {
+	a := NewScenario(Mesh, 16, UniformTraffic, 0.3) // far past saturation
+	a.Warmup, a.Measure = 50, 350
+	b := NewScenario(Mesh, 16, UniformTraffic, 0.06)
+	b.Warmup, b.Measure, b.Seed = 100, 900, 9
+	for _, eng := range []noc.Engine{noc.EngineActive, noc.EngineSweep, noc.EngineParallel} {
+		a.Engine, b.Engine = eng, eng
+		var ws Workspace
+		resA, err := ws.Run(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resA.InjectedPackets == resA.EjectedPackets {
+			t.Fatalf("%v: run A ended with empty buffers; the reuse below would prove nothing", eng)
+		}
+		reused, err := ws.Run(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Run(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want bytes.Buffer
+		if err := WriteResultJSON(&got, reused); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteResultJSON(&want, fresh); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%v: B after A differs from B on a fresh workspace:\nreused: %s\nfresh:  %s", eng, got.Bytes(), want.Bytes())
 		}
 	}
 }

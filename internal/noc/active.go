@@ -157,14 +157,15 @@ func (n *Network) refreshInSets(wl *worklists, node int, r *router) {
 // inPop removes the head of p's vc slot, re-deriving the slot's
 // occupancy and head-locality bits from the newly exposed head.
 func (n *Network) inPop(wl *worklists, node int, r *router, p *inPort, vc int) flitH {
-	h := p.pop(vc)
+	q := &p.bufs[vc]
+	h := q.pop()
 	n.telOcc[node]--
 	bit := p.slotBase + vc
 	switch {
-	case p.bufs[vc].len() == 0:
+	case q.empty():
 		r.inOcc.clearBit(bit)
 		r.ejOcc.clearBit(bit)
-	case n.arena.dst[p.head(vc).pkt()] == int32(r.node):
+	case n.arena.dst[q.head().pkt()] == int32(r.node):
 		r.ejOcc.set(bit)
 	default:
 		r.ejOcc.clearBit(bit)
@@ -180,8 +181,9 @@ func (n *Network) inPop(wl *worklists, node int, r *router, p *inPort, vc int) f
 // own worklists, so every write (buffer, masks, telemetry counters,
 // worklist bitmaps) has a single writer per cycle.
 func (n *Network) inPush(wl *worklists, node int, r *router, p *inPort, vc int, h flitH) {
-	wasEmpty := p.bufs[vc].len() == 0
-	p.push(vc, h)
+	q := &p.bufs[vc]
+	wasEmpty := q.empty()
+	q.push(h, n.cycle+1)
 	n.telOcc[node]++
 	bit := p.slotBase + vc
 	r.inOcc.set(bit)
@@ -193,7 +195,7 @@ func (n *Network) inPush(wl *worklists, node int, r *router, p *inPort, vc int, 
 
 // outPush appends h to the output queue (op, vc) of node's router.
 func (n *Network) outPush(wl *worklists, node int, r *router, op *outPort, vc int, h flitH) {
-	op.vcs[vc].push(h)
+	op.vcs[vc].q.push(h, n.cycle+1)
 	n.telOcc[node]++
 	r.outOcc.set(op.slotBase + vc)
 	wl.out.add(node)
@@ -203,10 +205,10 @@ func (n *Network) outPush(wl *worklists, node int, r *router, op *outPort, vc in
 // slot — and, when the router's last output drains, the router — from
 // the link worklist.
 func (n *Network) outPop(wl *worklists, node int, r *router, op *outPort, vc int) flitH {
-	v := op.vcs[vc]
-	h := v.pop()
+	q := &op.vcs[vc].q
+	h := q.pop()
 	n.telOcc[node]--
-	if v.empty() {
+	if q.empty() {
 		r.outOcc.clearBit(op.slotBase + vc)
 		if !r.outOcc.any() {
 			wl.out.remove(node)
@@ -241,79 +243,109 @@ func (n *Network) stepActive() {
 }
 
 // activeEject mirrors ejectPhase over routers holding locally-destined
-// input heads, touching only the slots whose bit is set in ejOcc.
-// rrEj is derived: the reference advances it by one every cycle for
-// every router, so during cycle c it equals c mod slots. The rotation
-// runs over logical slot indices (port × VCs + vc, the reference
-// modulus); each maps to its strided mask bit for the occupancy test.
+// input heads.
 func (n *Network) activeEject() {
-	vcs := n.alg.VCs()
-	a := &n.arena
-	tail := a.pktLen - 1
 	n.wl.ej.forEach(func(node int) {
-		r := n.routers[node]
 		n.visits++
-		budget := n.cfg.SinkRate
-		np := len(r.in)
-		if np == 0 {
-			return
-		}
-		slots := np * vcs
-		rrEj := int(n.modTab[slots])
-		for k := 0; k < slots && budget > 0; k++ {
-			s := rrEj + k
-			if s >= slots {
-				s -= slots
-			}
-			p := r.in[s/vcs]
-			vc := s % vcs
-			if !r.ejOcc.test(p.slotBase + vc) {
-				continue
-			}
-			for budget > 0 && !p.empty(vc) && a.dst[p.head(vc).pkt()] == int32(r.node) {
-				h := n.inPop(&n.wl, node, r, p, vc)
-				pi := h.pkt()
-				n.telEj[node]++
-				budget--
-				n.moved = true
-				a.recv[pi]++
-				if h.seq() == tail {
-					n.ejected++
-					n.col.PacketEjected(n.cycle, a.created[pi], a.injected[pi], a.pktLen, int(a.hops[pi]))
-					if n.onEject != nil {
-						n.materializePacket(&n.ejView, pi)
-						n.onEject(&n.ejView)
-					}
-					n.recyclePacket(pi)
-				}
-			}
+		if n.ejectNode(&n.wl, node, nil) {
+			n.moved = true
 		}
 	})
 }
 
-// activeSwitch mirrors switchPhase over routers holding transit heads,
-// visiting the ports in the reference rotated order (rrIn derived like
-// rrEj) and extracting each port's transit occupancy (inOcc minus the
-// locally destined heads, which wait for the ejection stage) from the
-// strided masks in one shift; ports with no transit head are skipped.
-func (n *Network) activeSwitch() {
-	vcs := n.alg.VCs()
-	n.wl.sw.forEach(func(node int) {
-		r := n.routers[node]
-		n.visits++
-		np := len(r.in)
-		rrIn := int(n.modTab[np])
-		for k := 0; k < np; k++ {
-			p := r.in[(rrIn+k)%np]
-			occ := r.inOcc.port(p.slotBase, vcs) &^ r.ejOcc.port(p.slotBase, vcs)
-			if occ == 0 {
+// ejectNode is the ejection stage of one router, touching only the
+// slots whose bit is set in ejOcc. rrEj is derived: the reference
+// advances it by one every cycle for every router, so during cycle c it
+// equals c mod slots. The rotation runs over logical slot indices
+// (port × VCs + vc, the reference modulus), split into port and VC by
+// the slotOf table. A fully ejected packet is completed on the spot —
+// statistics, OnEject, recycle — or, when deferred is non-nil (the
+// parallel engine), appended to it for the serial replay. It reports
+// whether a flit moved.
+func (n *Network) ejectNode(wl *worklists, node int, deferred *[]int32) bool {
+	r := n.routers[node]
+	a := &n.arena
+	tail := a.pktLen - 1
+	slots := len(r.in) * n.vcs
+	if slots == 0 {
+		return false
+	}
+	budget := n.cfg.SinkRate
+	s := int(n.modTab[slots])
+	for k := 0; k < slots && budget > 0; k++ {
+		ref := n.slotOf[s]
+		p, vc := &r.in[ref.port], int(ref.vc)
+		if s++; s == slots {
+			s = 0
+		}
+		if !r.ejOcc.test(p.slotBase + vc) {
+			continue
+		}
+		for q := &p.bufs[vc]; budget > 0 && !q.empty() && a.dst[q.head().pkt()] == int32(node); {
+			h := n.inPop(wl, node, r, p, vc)
+			pi := h.pkt()
+			n.telEj[node]++
+			budget--
+			a.recv[pi]++
+			if h.seq() != tail {
 				continue
 			}
-			if n.switchPort(&n.wl, r, p, occ, vcs) {
-				n.moved = true
+			if deferred != nil {
+				*deferred = append(*deferred, pi)
+			} else {
+				n.completeEjection(pi)
 			}
 		}
+	}
+	return budget < n.cfg.SinkRate
+}
+
+// completeEjection accounts for a packet whose tail flit was consumed:
+// statistics, then the OnEject observers, then the arena recycle.
+func (n *Network) completeEjection(pi int32) {
+	a := &n.arena
+	n.ejected++
+	n.col.PacketEjected(n.cycle, a.created[pi], a.injected[pi], a.pktLen, int(a.hops[pi]))
+	if n.onEject != nil {
+		n.materializePacket(&n.ejView, pi)
+		n.onEject(&n.ejView)
+	}
+	n.recyclePacket(pi)
+}
+
+// activeSwitch mirrors switchPhase over routers holding transit heads.
+func (n *Network) activeSwitch() {
+	n.wl.sw.forEach(func(node int) {
+		n.visits++
+		if n.switchNode(&n.wl, node) {
+			n.moved = true
+		}
 	})
+}
+
+// switchNode is the switch stage of one router: it visits the ports in
+// the reference rotated order (rrIn derived like rrEj) and extracts
+// each port's transit occupancy (inOcc minus the locally destined
+// heads, which wait for the ejection stage) from the strided masks in
+// one shift; ports with no transit head are skipped. It reports whether
+// a flit moved.
+func (n *Network) switchNode(wl *worklists, node int) bool {
+	r := n.routers[node]
+	vcs := n.vcs
+	np := len(r.in)
+	moved := false
+	i := int(n.modTab[np])
+	for k := 0; k < np; k++ {
+		p := &r.in[i]
+		if i++; i == np {
+			i = 0
+		}
+		occ := r.inOcc.port(p.slotBase, vcs) &^ r.ejOcc.port(p.slotBase, vcs)
+		if occ != 0 && n.switchPort(wl, r, p, occ, vcs) {
+			moved = true
+		}
+	}
+	return moved
 }
 
 // switchPort runs the reference per-port VC arbitration over the
@@ -323,116 +355,129 @@ func (n *Network) activeSwitch() {
 // the given worklists (the caller's shard worklists under the parallel
 // engine), and reports whether a flit moved.
 func (n *Network) switchPort(wl *worklists, r *router, p *inPort, occ uint64, vcs int) bool {
-	a := &n.arena
+	inVC := p.rrVC
 	for j := 0; j < vcs; j++ {
-		inVC := (p.rrVC + j) % vcs
-		if occ&(1<<uint(inVC)) == 0 {
-			continue
+		vc := inVC
+		if inVC++; inVC == vcs {
+			inVC = 0
 		}
-		h := p.head(inVC)
+		q := &p.bufs[vc]
+		if occ&(1<<uint(vc)) == 0 || q.advanced(n.cycle+1) {
+			continue // empty, ejecting, or already advanced this cycle
+		}
+		h := q.head()
 		pi := h.pkt()
-		fi := a.flitIndex(h)
-		if a.lastMove[fi] >= n.cycle+1 {
-			continue // already advanced this cycle
-		}
-		entry := &p.route[inVC]
+		entry := &p.route[vc]
 		if h.seq() == 0 {
-			d := n.route(r, pi, inVC)
-			op := r.outPortByDir(d.Dir)
-			if op == nil {
-				panic(fmt.Sprintf("noc: %s chose missing direction %v at node %d for %s",
-					n.alg.Name(), d.Dir, r.node, n.pktString(pi)))
-			}
-			ovc := op.vcs[d.VC]
-			if !n.canAdmit(ovc) {
+			// Heads route afresh on every attempt (adaptive algorithms
+			// re-evaluate congestion) and commit switching state only
+			// when the output queue is won.
+			op, ovc := n.nextHop(r, pi, vc)
+			if !n.canAdmit(&op.vcs[ovc]) {
 				continue // allocation denied; retry next cycle
 			}
-			ovc.owner = pi
-			*entry = routeEntry{active: true, port: op, vc: d.VC}
+			op.vcs[ovc].owner = pi
+			*entry = routeEntry{active: true, port: op, vc: ovc}
 		} else if !entry.active {
 			panic(fmt.Sprintf("noc: body flit %s at node %d without switching state", n.flitString(h), r.node))
 		}
-		ovc := entry.port.vcs[entry.vc]
-		if ovc.owner != pi || ovc.full(n.cfg.OutBufCap) {
+		ovc := &entry.port.vcs[entry.vc]
+		if ovc.owner != pi || ovc.q.full() {
 			continue // space denied; retry next cycle
 		}
-		n.inPop(wl, r.node, r, p, inVC)
-		h = h.withVC(entry.vc)
-		a.lastMove[fi] = n.cycle + 1
-		n.outPush(wl, r.node, r, entry.port, entry.vc, h)
-		if h.seq() == a.pktLen-1 {
+		n.inPop(wl, r.node, r, p, vc)
+		n.outPush(wl, r.node, r, entry.port, entry.vc, h.withVC(entry.vc))
+		if h.seq() == n.arena.pktLen-1 {
 			ovc.owner = -1
 			entry.active = false
 		}
-		p.rrVC = (inVC + 1) % vcs
+		p.rrVC = inVC
 		return true // one flit per input port per cycle
 	}
 	return false
 }
 
-// activeInject mirrors injectPhase over sources with pending packets,
-// retiring a source once its IP memory and in-progress worm drain.
+// activeInject mirrors injectPhase over sources with pending packets.
 func (n *Network) activeInject() {
-	a := &n.arena
 	n.wl.ni.forEach(func(node int) {
-		q := n.nis[node]
-		r := n.routers[node]
 		n.visits++
-		budget := n.cfg.InjectRate
-		for budget > 0 {
-			if q.sending < 0 {
-				if q.queue.len() == 0 {
-					break
-				}
-				q.sending = q.queue.pop()
-				q.nextSeq = 0
-				q.vc = 0
-				q.route = routeEntry{}
-			}
-			pi := q.sending
-			if q.nextSeq == 0 && !q.route.active {
-				d := n.route(r, pi, 0)
-				op := r.outPortByDir(d.Dir)
-				if op == nil {
-					panic(fmt.Sprintf("noc: %s chose missing direction %v at source %d for %s",
-						n.alg.Name(), d.Dir, node, n.pktString(pi)))
-				}
-				ovc := op.vcs[d.VC]
-				if n.canAdmit(ovc) {
-					ovc.owner = pi
-					q.route = routeEntry{active: true, port: op, vc: d.VC}
-				} else {
-					n.col.SourceBlocked(n.cycle)
-					break
-				}
-			}
-			ovc := q.route.port.vcs[q.route.vc]
-			if ovc.full(n.cfg.OutBufCap) {
-				n.col.SourceBlocked(n.cycle)
-				break
-			}
-			h := mkFlit(pi, q.nextSeq, q.route.vc)
-			a.lastMove[a.flitIndex(h)] = n.cycle + 1
-			n.outPush(&n.wl, node, r, q.route.port, q.route.vc, h)
-			n.telInj[node]++
+		if n.injectNode(&n.wl, node, nil) {
 			n.moved = true
-			q.nextSeq++
-			budget--
-			if h.seq() == 0 {
-				a.injected[pi] = n.cycle
-				n.injected++
-				n.col.PacketInjected(n.cycle, a.pktLen)
-			}
-			if h.seq() == a.pktLen-1 {
-				ovc.owner = -1
-				q.sending = -1
-				q.route = routeEntry{}
-			}
-		}
-		if q.sending < 0 && q.queue.len() == 0 {
-			n.wl.ni.remove(node)
 		}
 	})
+}
+
+// injectNode is the injection stage of one source, retiring it from the
+// worklist once its IP memory and in-progress worm drain. Collector
+// events (packet acceptances, source-blocked cycles) are recorded on
+// the spot or, when deferred is non-nil (the parallel engine), appended
+// to it for the end-of-cycle replay. It reports whether a flit moved.
+func (n *Network) injectNode(wl *worklists, node int, deferred *[]statRecord) bool {
+	a := &n.arena
+	q := n.nis[node]
+	r := n.routers[node]
+	note := func(st statRecord) {
+		if deferred != nil {
+			*deferred = append(*deferred, st)
+		} else {
+			n.recordInjection(st)
+		}
+	}
+	budget := n.cfg.InjectRate
+	for budget > 0 {
+		if q.sending < 0 {
+			if q.queue.len() == 0 {
+				break
+			}
+			q.sending = q.queue.pop()
+			q.nextSeq = 0
+			q.vc = 0
+			q.route = routeEntry{}
+		}
+		pi := q.sending
+		if q.nextSeq == 0 && !q.route.active {
+			op, vc := n.nextHop(r, pi, 0)
+			if !n.canAdmit(&op.vcs[vc]) {
+				note(statRecord{})
+				break
+			}
+			op.vcs[vc].owner = pi
+			q.route = routeEntry{active: true, port: op, vc: vc}
+		}
+		ovc := &q.route.port.vcs[q.route.vc]
+		if ovc.q.full() {
+			note(statRecord{})
+			break
+		}
+		h := mkFlit(pi, q.nextSeq, q.route.vc)
+		n.outPush(wl, node, r, q.route.port, q.route.vc, h)
+		n.telInj[node]++
+		q.nextSeq++
+		budget--
+		if h.seq() == 0 {
+			a.injected[pi] = n.cycle
+			note(statRecord{injected: true, flits: a.pktLen})
+		}
+		if h.seq() == a.pktLen-1 {
+			ovc.owner = -1
+			q.sending = -1
+			q.route = routeEntry{}
+		}
+	}
+	if q.sending < 0 && q.queue.len() == 0 {
+		wl.ni.remove(node)
+	}
+	return budget < n.cfg.InjectRate
+}
+
+// recordInjection applies one injection-stage collector event.
+func (n *Network) recordInjection(st statRecord) {
+	if st.injected {
+		n.injected++
+		n.col.PacketInjected(n.cycle, st.flits)
+	} else {
+		n.col.SourceBlocked(n.cycle)
+	}
 }
 
 // activeLink mirrors linkPhase over routers holding output flits,
@@ -440,12 +485,13 @@ func (n *Network) activeInject() {
 // extracting each port's occupancy from the strided mask; empty ports
 // are skipped. op.rr is derived like the other round-robin pointers.
 func (n *Network) activeLink() {
-	vcs := n.alg.VCs()
+	vcs := n.vcs
 	rrVC := int(n.modTab[vcs]) // every port has alg.VCs() queues
 	n.wl.out.forEach(func(node int) {
 		r := n.routers[node]
 		n.visits++
-		for _, op := range r.out {
+		for i := range r.out {
+			op := &r.out[i]
 			occ := r.outOcc.port(op.slotBase, vcs)
 			if occ == 0 {
 				continue
@@ -468,26 +514,16 @@ func (n *Network) linkPort(node int, r *router, op *outPort, occ uint64, vcs, rr
 		if occ&(1<<uint(vi)) == 0 {
 			continue
 		}
-		v := op.vcs[vi]
-		h := v.head()
-		fi := a.flitIndex(h)
-		if a.lastMove[fi] >= n.cycle+1 {
+		v := &op.vcs[vi]
+		if v.q.advanced(n.cycle+1) || !n.canDepart(v) || op.peer.bufs[vi].full() {
 			continue
 		}
-		if !n.canDepart(v) {
-			continue
-		}
-		ip := op.peer
-		if ip.full(vi, n.cfg.InBufCap) {
-			continue
-		}
-		n.outPop(&n.wl, node, r, op, vi)
-		a.lastMove[fi] = n.cycle + 1
+		h := n.outPop(&n.wl, node, r, op, vi)
 		if h.seq() == 0 {
 			a.hops[h.pkt()]++
 		}
 		n.linkFlits[op.ch.ID]++
-		n.inPush(&n.wl, op.ch.Dst, op.peerRouter, ip, vi, h)
+		n.inPush(&n.wl, op.ch.Dst, op.peerRouter, op.peer, vi, h)
 		n.moved = true
 		return // one flit per physical link per cycle
 	}
@@ -531,21 +567,23 @@ func (n *Network) rebuildWorklists(wlFor func(node int) *worklists) {
 		r.inOcc.zero()
 		r.ejOcc.zero()
 		r.outOcc.zero()
-		for _, p := range r.in {
+		for i := range r.in {
+			p := &r.in[i]
 			for vc := range p.bufs {
-				if p.bufs[vc].len() == 0 {
+				if p.bufs[vc].empty() {
 					continue
 				}
 				bit := p.slotBase + vc
 				r.inOcc.set(bit)
-				if n.arena.dst[p.head(vc).pkt()] == int32(r.node) {
+				if n.arena.dst[p.bufs[vc].head().pkt()] == int32(r.node) {
 					r.ejOcc.set(bit)
 				}
 			}
 		}
-		for _, op := range r.out {
-			for vc, v := range op.vcs {
-				if !v.empty() {
+		for i := range r.out {
+			op := &r.out[i]
+			for vc := range op.vcs {
+				if !op.vcs[vc].q.empty() {
 					r.outOcc.set(op.slotBase + vc)
 				}
 			}
@@ -599,14 +637,15 @@ func (n *Network) checkActiveInvariants() error {
 		n.invOut = resizeMask(n.invOut, len(r.out)*n.stride)
 		inOcc, ejOcc, outOcc := n.invIn, n.invEj, n.invOut
 		var hasEj, hasTransit bool
-		for _, p := range r.in {
+		for i := range r.in {
+			p := &r.in[i]
 			for vc := range p.bufs {
-				if p.bufs[vc].len() == 0 {
+				if p.bufs[vc].empty() {
 					continue
 				}
 				bit := p.slotBase + vc
 				inOcc.set(bit)
-				if n.arena.dst[p.head(vc).pkt()] == int32(r.node) {
+				if n.arena.dst[p.bufs[vc].head().pkt()] == int32(r.node) {
 					ejOcc.set(bit)
 					hasEj = true
 				} else {
@@ -615,9 +654,10 @@ func (n *Network) checkActiveInvariants() error {
 			}
 		}
 		var hasOut bool
-		for _, op := range r.out {
-			for vc, v := range op.vcs {
-				if !v.empty() {
+		for i := range r.out {
+			op := &r.out[i]
+			for vc := range op.vcs {
+				if !op.vcs[vc].q.empty() {
 					outOcc.set(op.slotBase + vc)
 					hasOut = true
 				}
@@ -683,11 +723,12 @@ func (n *Network) SkipTo(cycle uint64) {
 		// advances so the two engines stay interchangeable.
 		for _, r := range n.routers {
 			if np := len(r.in); np > 0 {
-				vcs := n.alg.VCs()
+				vcs := n.vcs
 				r.rrEj = (r.rrEj + int(delta%uint64(np*vcs))) % (np * vcs)
 				r.rrIn = (r.rrIn + int(delta%uint64(np))) % np
 			}
-			for _, op := range r.out {
+			for i := range r.out {
+				op := &r.out[i]
 				nv := len(op.vcs)
 				op.rr = (op.rr + int(delta%uint64(nv))) % nv
 			}

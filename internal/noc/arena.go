@@ -6,7 +6,9 @@ package noc
 // slices; every flit in a router buffer is one 64-bit handle word
 // packing (packet index, sequence number, VC tag). The phase drains in
 // active.go/parallel.go therefore walk dense arrays of integers: no
-// *Packet or *Flit is ever chased (or allocated) inside a cycle. The
+// *Packet or *Flit is ever chased (or allocated) inside a cycle. A
+// record holds per-packet state only: the one-stage-per-cycle stamp of
+// a flit belongs to the ring buffer holding it (router.go). The
 // exported Packet/Flit structs survive as materialized views at the
 // observer boundary (flit.go, observe.go).
 
@@ -29,10 +31,8 @@ const (
 
 // flitH is a flit handle: the packed (packet index, seq, VC) word the
 // router buffers store in place of a *Flit. Packet length is constant
-// per network (Config.PacketLen), so the handle needs no tail bit —
-// seq == PacketLen-1 identifies the tail — and the flit's stage-advance
-// stamp lives at the dense index pkt*PacketLen+seq of the arena's
-// lastMove array.
+// per network (Config.PacketLen), so the handle needs no tail bit:
+// seq == PacketLen-1 identifies the tail.
 type flitH uint64
 
 // mkFlit packs a handle.
@@ -73,12 +73,6 @@ type packetArena struct {
 	recv     []int32  // flits consumed at the destination so far
 	free     []bool   // resident on freeStack (not leased)
 
-	// lastMove[p*pktLen+s] is the cycle flit (p, s) last advanced a
-	// pipeline stage — the one-stage-per-cycle stamp, stored densely so
-	// the per-flit state the phase drains touch most is one contiguous
-	// array.
-	lastMove []uint64
-
 	// freeStack holds the indices of recycled records, leased LIFO.
 	freeStack []int32
 }
@@ -87,9 +81,9 @@ type packetArena struct {
 // high-water mark of the current pooling regime).
 func (a *packetArena) len() int { return len(a.id) }
 
-// grow appends one zeroed record and its lastMove window, returning its
-// index. Growth allocates; the steady state of a pooled run leases from
-// freeStack instead.
+// grow appends one zeroed record, returning its index. Growth
+// allocates; the steady state of a pooled run leases from freeStack
+// instead.
 func (a *packetArena) grow() int32 {
 	idx := len(a.id)
 	a.id = append(a.id, 0)
@@ -100,16 +94,8 @@ func (a *packetArena) grow() int32 {
 	a.hops = append(a.hops, 0)
 	a.recv = append(a.recv, 0)
 	a.free = append(a.free, false)
-	if n := len(a.lastMove) + a.pktLen; n <= cap(a.lastMove) {
-		a.lastMove = a.lastMove[:n]
-	} else {
-		a.lastMove = append(a.lastMove, make([]uint64, a.pktLen)...)
-	}
 	return int32(idx)
 }
-
-// flitIndex returns h's position in lastMove.
-func (a *packetArena) flitIndex(h flitH) int { return int(h.pkt())*a.pktLen + h.seq() }
 
 // truncate drops every record and the free stack, keeping the backing
 // arrays. Used when pooling is (re)disabled and by Reset in the
@@ -124,7 +110,6 @@ func (a *packetArena) truncate() {
 	a.hops = a.hops[:0]
 	a.recv = a.recv[:0]
 	a.free = a.free[:0]
-	a.lastMove = a.lastMove[:0]
 	a.freeStack = a.freeStack[:0]
 }
 
@@ -134,7 +119,7 @@ func (a *packetArena) truncate() {
 // allocator's growth policy).
 func (a *packetArena) bytes() uint64 {
 	const recBytes = 8 + 4 + 4 + 8 + 8 + 4 + 4 + 1 // id,src,dst,created,injected,hops,recv,free
-	return uint64(a.len())*(recBytes+uint64(a.pktLen)*8) + uint64(len(a.freeStack))*4
+	return uint64(a.len())*recBytes + uint64(len(a.freeStack))*4
 }
 
 // materializePacket fills the exported view v from record pi. Views are

@@ -326,19 +326,19 @@ func TestCheckConservationCatchesInvalidHandle(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		net.Step()
 	}
-	var bad *fifo[flitH]
+	var bad *ring
 	for _, r := range net.routers {
-		for _, op := range r.out {
-			for _, v := range op.vcs {
-				if !v.empty() {
-					bad = &v.q
+		for i := range r.out {
+			for v := range r.out[i].vcs {
+				if q := &r.out[i].vcs[v].q; !q.empty() {
+					bad = q
 				}
 			}
 		}
-		for _, p := range r.in {
-			for i := range p.bufs {
-				if p.bufs[i].len() > 0 {
-					bad = &p.bufs[i]
+		for i := range r.in {
+			for v := range r.in[i].bufs {
+				if q := &r.in[i].bufs[v]; !q.empty() {
+					bad = q
 				}
 			}
 		}
@@ -347,7 +347,7 @@ func TestCheckConservationCatchesInvalidHandle(t *testing.T) {
 		t.Fatal("no buffered flit to corrupt")
 	}
 	good := bad.pop()
-	bad.push(mkFlit(good.pkt()+1000, good.seq(), good.vc())) // packet index past the arena
+	bad.push(mkFlit(good.pkt()+1000, good.seq(), good.vc()), net.cycle+1) // packet index past the arena
 	err = net.CheckConservation()
 	if err == nil || !strings.Contains(err.Error(), "invalid flit handle") {
 		t.Fatalf("corrupted handle not caught: %v", err)

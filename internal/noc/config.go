@@ -39,6 +39,24 @@ func (s Switching) String() string {
 	}
 }
 
+// MaxBufCap bounds Config.InBufCap and Config.OutBufCap. Every buffer
+// is preallocated at its full capacity when the network is built
+// (router.go), so an unbounded value in a scenario file would turn into
+// an unbounded allocation; 4096 flits is three orders of magnitude above
+// the paper's 1- and 3-flit buffers. Cut-through and store-and-forward
+// switching need OutBufCap >= PacketLen and so stop at 4096-flit packets.
+const MaxBufCap = 1 << 12
+
+// bufCapError reports a buffer capacity above MaxBufCap.
+type bufCapError struct {
+	field string // "input" or "output"
+	cap   int
+}
+
+func (e *bufCapError) Error() string {
+	return fmt.Sprintf("noc: %s buffer capacity %d exceeds the limit %d", e.field, e.cap, MaxBufCap)
+}
+
 // Config carries the buffer geometry and interface rates of the node
 // model (figure 4 of the paper). The zero value is invalid; start from
 // DefaultConfig.
@@ -46,11 +64,12 @@ type Config struct {
 	// PacketLen is the constant packet size in flits. The paper uses 6.
 	PacketLen int
 	// OutBufCap is the capacity, in flits, of each output queue
-	// (virtual channel). The paper uses 3 ("all output buffers may
-	// contain up to three-flits").
+	// (virtual channel), at most MaxBufCap. The paper uses 3 ("all
+	// output buffers may contain up to three-flits").
 	OutBufCap int
-	// InBufCap is the capacity of the per-link input buffer. The paper
-	// uses 1 ("incoming links have a one-flit buffer").
+	// InBufCap is the capacity of the per-link input buffer, at most
+	// MaxBufCap. The paper uses 1 ("incoming links have a one-flit
+	// buffer").
 	InBufCap int
 	// SinkRate is the number of flits the destination IP consumes per
 	// cycle through its network interface. 1 models the single
@@ -90,6 +109,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("noc: output buffer capacity %d < 1", c.OutBufCap)
 	case c.InBufCap < 1:
 		return fmt.Errorf("noc: input buffer capacity %d < 1", c.InBufCap)
+	case c.OutBufCap > MaxBufCap:
+		return &bufCapError{"output", c.OutBufCap}
+	case c.InBufCap > MaxBufCap:
+		return &bufCapError{"input", c.InBufCap}
 	case c.SinkRate < 1:
 		return fmt.Errorf("noc: sink rate %d < 1", c.SinkRate)
 	case c.InjectRate < 1:

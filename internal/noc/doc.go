@@ -45,12 +45,18 @@
 // integer. A flit is a 64-bit handle packing (packet index, sequence
 // number, VC tag); since the packet length is constant per network,
 // seq == PacketLen-1 identifies the tail without any per-packet length
-// field, and the flit's one-stage-per-cycle stamp lives at the dense
-// index pkt*PacketLen+seq of one shared lastMove array. Router input
-// slots, output VC queues and the NI source queues store these handle
-// words (and packet indices) directly, so the per-phase drains are
-// linear scans over dense integer arrays — no heap object is chased or
-// allocated inside a cycle. The freelist of recycled packets is an
+// field. Router input slots and output VC queues are fixed-capacity
+// ring buffers of these handle words, carved from one block per router
+// sized from Config.InBufCap/OutBufCap (router.go), and ports, rings and
+// queues are value slices, so a phase drain walks a few cache lines per
+// router and nothing is chased, grown or allocated inside a cycle; only
+// the unbounded NI source queue (packet indices) can grow. The
+// one-stage-per-cycle rule needs no per-flit state: each ring stamps
+// the cycle of its last push and counts that cycle's pushes, and since
+// this cycle's arrivals sit at the tail and cannot leave before the
+// next, the head has already moved this cycle exactly when all resident
+// flits were pushed in it. The active and parallel engines wrap every
+// round-robin rotation by subtraction; only the sweep reference divides. The freelist of recycled packets is an
 // index stack on the arena; with pooling off the arena grows
 // monotonically instead, which changes allocator traffic but never
 // results.

@@ -25,10 +25,16 @@ type Network struct {
 
 	// arena holds every packet record (struct-of-arrays, see arena.go);
 	// router buffers and NI queues reference it through packed flit
-	// handles and packet indices. stride is the power-of-two spacing of
-	// ports within the slot-occupancy masks (≥ the VC count).
+	// handles and packet indices. vcs caches alg.VCs(); stride is the
+	// power-of-two spacing of ports within the slot-occupancy masks (≥ the
+	// VC count).
 	arena  packetArena
+	vcs    int
 	stride int
+
+	// slotOf[s] splits the logical input slot s of the ejection
+	// rotation into its port (s / vcs) and VC (s % vcs).
+	slotOf []slotRef
 
 	// ejView, injView and errView are the scratch Packet views
 	// materialized at the observer boundary: ejView for OnEject, injView
@@ -115,6 +121,9 @@ type Network struct {
 	adaptive routing.Adaptive
 }
 
+// slotRef names one input slot of a router: port index and VC.
+type slotRef struct{ port, vc uint16 }
+
 // ni is the per-node network interface: the IP-memory source queue, the
 // current outgoing worm's switching state, and packet-reassembly
 // accounting for the sink side. Queued packets are arena indices;
@@ -147,11 +156,11 @@ func NewNetwork(t topology.Topology, a routing.Algorithm, cfg Config, col *stats
 	if cfg.PacketLen > MaxPacketLen {
 		return nil, fmt.Errorf("noc: packet length %d exceeds handle limit %d", cfg.PacketLen, MaxPacketLen)
 	}
-	n := &Network{topo: t, alg: a, cfg: cfg, col: col, pooling: true}
+	n := &Network{topo: t, alg: a, cfg: cfg, col: col, pooling: true, vcs: a.VCs()}
 	n.arena.pktLen = cfg.PacketLen
 	// Ports are spaced at the next power of two ≥ the VC count inside
 	// the slot masks, so no port's bits straddle a mask word.
-	n.stride = 1 << bits.Len(uint(a.VCs()-1))
+	n.stride = 1 << bits.Len(uint(n.vcs-1))
 	n.linkFlits = make([]uint64, len(t.Channels()))
 	n.telOcc = make([]int32, t.Nodes())
 	n.telInj = make([]uint64, t.Nodes())
@@ -161,7 +170,7 @@ func NewNetwork(t topology.Topology, a routing.Algorithm, cfg Config, col *stats
 	}
 	nis := make([]ni, t.Nodes())
 	for v := 0; v < t.Nodes(); v++ {
-		n.routers = append(n.routers, newRouter(v, t, a.VCs(), n.stride))
+		n.routers = append(n.routers, newRouter(v, t, n.vcs, n.stride, cfg.InBufCap, cfg.OutBufCap))
 		nis[v].node = v
 		nis[v].sending = -1
 		n.nis = append(n.nis, &nis[v])
@@ -178,9 +187,10 @@ func NewNetwork(t topology.Topology, a routing.Algorithm, cfg Config, col *stats
 			n.modDivs = append(n.modDivs, d)
 		}
 	}
-	addDiv(a.VCs())
+	addDiv(n.vcs)
 	for _, r := range n.routers {
-		for _, op := range r.out {
+		for i := range r.out {
+			op := &r.out[i]
 			op.peerRouter = n.routers[op.ch.Dst]
 			op.peer = op.peerRouter.inPortByChannel(op.ch.ID)
 			if op.peer == nil {
@@ -188,10 +198,15 @@ func NewNetwork(t topology.Topology, a routing.Algorithm, cfg Config, col *stats
 			}
 		}
 		addDiv(len(r.in))
-		addDiv(len(r.in) * a.VCs())
+		addDiv(len(r.in) * n.vcs)
 	}
 	sort.Ints(n.modDivs)
-	n.modTab = make([]uint32, n.modDivs[len(n.modDivs)-1]+1)
+	maxSlots := n.modDivs[len(n.modDivs)-1]
+	n.modTab = make([]uint32, maxSlots+1)
+	n.slotOf = make([]slotRef, maxSlots)
+	for s := range n.slotOf {
+		n.slotOf[s] = slotRef{port: uint16(s / n.vcs), vc: uint16(s % n.vcs)}
+	}
 	return n, nil
 }
 
@@ -244,9 +259,7 @@ func (n *Network) InjectPacket(src, dst int) (*Packet, error) {
 
 // leasePacket draws a record from the arena's free stack, falling back
 // to arena growth while the stack warms up (or always, when pooling is
-// off), and initializes it for the new packet. The flit stamps of the
-// record's lastMove window are cleared so a recycled record starts
-// indistinguishable from a fresh one.
+// off), and initializes it for the new packet.
 func (n *Network) leasePacket(src, dst int) int32 {
 	a := &n.arena
 	var pi int32
@@ -263,10 +276,6 @@ func (n *Network) leasePacket(src, dst int) int32 {
 	a.id[pi] = n.nextPktID
 	a.src[pi], a.dst[pi] = int32(src), int32(dst)
 	a.created[pi] = n.cycle
-	lm := a.lastMove[int(pi)*a.pktLen : (int(pi)+1)*a.pktLen]
-	for i := range lm {
-		lm[i] = 0
-	}
 	return pi
 }
 
@@ -315,14 +324,23 @@ func (n *Network) Pooling() bool { return n.pooling }
 // ErrSourceQueueFull reports an Inject refused by a bounded source queue.
 var ErrSourceQueueFull = fmt.Errorf("noc: source queue full")
 
-// route computes the next-hop decision for packet pi's head at router
-// r, consulting local congestion when the algorithm is adaptive.
-func (n *Network) route(r *router, pi int32, vc int) routing.Decision {
+// nextHop returns the output port and VC the routing algorithm assigns
+// packet pi's head at router r, arriving on vc (0 at the source),
+// consulting local congestion when the algorithm is adaptive.
+func (n *Network) nextHop(r *router, pi int32, vc int) (*outPort, int) {
 	dst := int(n.arena.dst[pi])
+	var d routing.Decision
 	if n.adaptive != nil {
-		return n.adaptive.Choose(r.node, dst, vc, congestionView{r: r, cap: n.cfg.OutBufCap})
+		d = n.adaptive.Choose(r.node, dst, vc, congestionView{r: r, cap: n.cfg.OutBufCap})
+	} else {
+		d = n.alg.Route(r.node, dst, vc)
 	}
-	return n.alg.Route(r.node, dst, vc)
+	op := r.outPortByDir(d.Dir)
+	if op == nil {
+		panic(fmt.Sprintf("noc: %s chose missing direction %v at node %d for %s",
+			n.alg.Name(), d.Dir, r.node, n.pktString(pi)))
+	}
+	return op, d.VC
 }
 
 // canAdmit reports whether a new packet's head may be admitted to the
@@ -334,7 +352,7 @@ func (n *Network) canAdmit(q *outVC) bool {
 		return false
 	}
 	if n.cfg.Switching == Wormhole {
-		return !q.full(n.cfg.OutBufCap)
+		return !q.q.full()
 	}
 	return n.cfg.OutBufCap-q.q.len() >= n.cfg.PacketLen
 }
@@ -346,14 +364,14 @@ func (n *Network) canDepart(q *outVC) bool {
 	if n.cfg.Switching != StoreAndForward {
 		return true
 	}
-	head := q.head()
+	head := q.q.head()
 	tail := n.cfg.PacketLen - 1
 	if head.seq() == tail {
 		return true
 	}
 	hp := head.pkt()
-	for _, h := range q.flits()[1:] {
-		if h.pkt() == hp && h.seq() == tail {
+	for i := 1; i < q.q.len(); i++ {
+		if h := q.q.at(i); h.pkt() == hp && h.seq() == tail {
 			return true
 		}
 	}
@@ -362,12 +380,13 @@ func (n *Network) canDepart(q *outVC) bool {
 
 // Step advances the network one clock cycle. The four phases — sink
 // ejection, switch traversal, source injection, link traversal — each
-// move a flit at most one stage, and a per-flit cycle stamp prevents a
-// flit from advancing through two stages in one cycle. The default
-// engine visits only active routers and sources (active.go); the
-// parallel engine (parallel.go) executes the same phases shard-parallel
-// with deterministic barriers; the sweep engine below scans everything
-// and serves as the golden reference both are tested against.
+// move a flit at most one stage, and the stage stamp of the buffer
+// holding it (ring.advanced) prevents a flit from advancing through two
+// stages in one cycle. The default engine visits only active routers
+// and sources (active.go); the parallel engine (parallel.go) executes
+// the same phases shard-parallel with deterministic barriers; the sweep
+// engine below scans everything and serves as the golden reference both
+// are tested against.
 func (n *Network) Step() {
 	switch n.engine {
 	case EngineSweep:
@@ -405,7 +424,7 @@ func (n *Network) StepN(k int) {
 // through a single ejection port — the bottleneck of the hot-spot
 // scenarios.
 func (n *Network) ejectPhase() {
-	vcs := n.alg.VCs()
+	vcs := n.vcs
 	a := &n.arena
 	tail := a.pktLen - 1
 	for _, r := range n.routers {
@@ -418,10 +437,9 @@ func (n *Network) ejectPhase() {
 		slots := np * vcs
 		for k := 0; k < slots && budget > 0; k++ {
 			s := (r.rrEj + k) % slots
-			p := r.in[s/vcs]
-			vc := s % vcs
-			for budget > 0 && !p.empty(vc) && a.dst[p.head(vc).pkt()] == int32(r.node) {
-				h := p.pop(vc)
+			q := &r.in[s/vcs].bufs[s%vcs]
+			for budget > 0 && !q.empty() && a.dst[q.head().pkt()] == int32(r.node) {
+				h := q.pop()
 				pi := h.pkt()
 				n.telOcc[r.node]--
 				n.telEj[r.node]++
@@ -449,24 +467,22 @@ func (n *Network) ejectPhase() {
 // entry. One flit per input port per cycle (the crossbar input port is
 // shared by the port's VC slots, arbitrated round-robin).
 func (n *Network) switchPhase() {
-	vcs := n.alg.VCs()
+	vcs := n.vcs
 	a := &n.arena
+	now := n.cycle + 1
 	for _, r := range n.routers {
 		n.visits++
 		np := len(r.in)
 		for k := 0; k < np; k++ {
-			p := r.in[(r.rrIn+k)%np]
+			p := &r.in[(r.rrIn+k)%np]
 			for j := 0; j < vcs; j++ {
 				inVC := (p.rrVC + j) % vcs
-				if p.empty(inVC) {
-					continue
+				q := &p.bufs[inVC]
+				if q.empty() || q.advanced(now) {
+					continue // nothing here, or already advanced this cycle
 				}
-				h := p.head(inVC)
+				h := q.head()
 				pi := h.pkt()
-				fi := a.flitIndex(h)
-				if a.lastMove[fi] >= n.cycle+1 {
-					continue // already advanced this cycle
-				}
 				if a.dst[pi] == int32(r.node) {
 					continue // waits for the ejection phase
 				}
@@ -475,29 +491,22 @@ func (n *Network) switchPhase() {
 					// Heads route afresh on every attempt (adaptive
 					// algorithms re-evaluate congestion) and commit
 					// switching state only when the output queue is won.
-					d := n.route(r, pi, inVC)
-					op := r.outPortByDir(d.Dir)
-					if op == nil {
-						panic(fmt.Sprintf("noc: %s chose missing direction %v at node %d for %s",
-							n.alg.Name(), d.Dir, r.node, n.pktString(pi)))
-					}
-					ovc := op.vcs[d.VC]
-					if !n.canAdmit(ovc) {
+					op, vc := n.nextHop(r, pi, inVC)
+					if !n.canAdmit(&op.vcs[vc]) {
 						continue // allocation denied; retry next cycle
 					}
-					ovc.owner = pi
-					*entry = routeEntry{active: true, port: op, vc: d.VC}
+					op.vcs[vc].owner = pi
+					*entry = routeEntry{active: true, port: op, vc: vc}
 				} else if !entry.active {
 					panic(fmt.Sprintf("noc: body flit %s at node %d without switching state", n.flitString(h), r.node))
 				}
-				ovc := entry.port.vcs[entry.vc]
-				if ovc.owner != pi || ovc.full(n.cfg.OutBufCap) {
+				ovc := &entry.port.vcs[entry.vc]
+				if ovc.owner != pi || ovc.q.full() {
 					continue // space denied; retry next cycle
 				}
-				p.pop(inVC)
+				q.pop()
 				h = h.withVC(entry.vc)
-				a.lastMove[fi] = n.cycle + 1
-				ovc.push(h)
+				ovc.q.push(h, now)
 				n.moved = true
 				if h.seq() == a.pktLen-1 {
 					ovc.owner = -1
@@ -533,29 +542,21 @@ func (n *Network) injectPhase() {
 			}
 			pi := q.sending
 			if q.nextSeq == 0 && !q.route.active {
-				d := n.route(r, pi, 0)
-				op := r.outPortByDir(d.Dir)
-				if op == nil {
-					panic(fmt.Sprintf("noc: %s chose missing direction %v at source %d for %s",
-						n.alg.Name(), d.Dir, node, n.pktString(pi)))
-				}
-				ovc := op.vcs[d.VC]
-				if n.canAdmit(ovc) {
-					ovc.owner = pi
-					q.route = routeEntry{active: true, port: op, vc: d.VC}
-				} else {
+				op, vc := n.nextHop(r, pi, 0)
+				if !n.canAdmit(&op.vcs[vc]) {
 					n.col.SourceBlocked(n.cycle)
 					break
 				}
+				op.vcs[vc].owner = pi
+				q.route = routeEntry{active: true, port: op, vc: vc}
 			}
-			ovc := q.route.port.vcs[q.route.vc]
-			if ovc.full(n.cfg.OutBufCap) {
+			ovc := &q.route.port.vcs[q.route.vc]
+			if ovc.q.full() {
 				n.col.SourceBlocked(n.cycle)
 				break
 			}
 			h := mkFlit(pi, q.nextSeq, q.route.vc)
-			a.lastMove[a.flitIndex(h)] = n.cycle + 1
-			ovc.push(h)
+			ovc.q.push(h, n.cycle+1)
 			n.telOcc[node]++
 			n.telInj[node]++
 			n.moved = true
@@ -581,37 +582,30 @@ func (n *Network) injectPhase() {
 // has not already advanced this cycle.
 func (n *Network) linkPhase() {
 	a := &n.arena
+	now := n.cycle + 1
 	for _, r := range n.routers {
 		n.visits++
-		for _, op := range r.out {
+		for i := range r.out {
+			op := &r.out[i]
 			nv := len(op.vcs)
 			sent := false
 			for k := 0; k < nv && !sent; k++ {
 				vi := (op.rr + k) % nv
-				v := op.vcs[vi]
-				if v.empty() {
+				v := &op.vcs[vi]
+				if v.q.empty() || v.q.advanced(now) || !n.canDepart(v) {
 					continue
 				}
-				h := v.head()
-				fi := a.flitIndex(h)
-				if a.lastMove[fi] >= n.cycle+1 {
+				in := &op.peer.bufs[vi]
+				if in.full() {
 					continue
 				}
-				if !n.canDepart(v) {
-					continue
-				}
-				ip := op.peer
-				if ip.full(vi, n.cfg.InBufCap) {
-					continue
-				}
-				v.pop()
+				h := v.q.pop()
 				n.telOcc[r.node]--
-				a.lastMove[fi] = n.cycle + 1
 				if h.seq() == 0 {
 					a.hops[h.pkt()]++
 				}
 				n.linkFlits[op.ch.ID]++
-				ip.push(vi, h)
+				in.push(h, now)
 				n.telOcc[op.ch.Dst]++
 				n.moved = true
 				sent = true
@@ -710,7 +704,7 @@ func (n *Network) CheckConservation() error {
 	}
 	seen := n.consScratch
 	distinct := uint64(0)
-	vcs := n.alg.VCs()
+	vcs := n.vcs
 	note := func(h flitH) error {
 		pi := h.pkt()
 		if pi < 0 || int(pi) >= a.len() || h.seq() >= a.pktLen || h.vc() >= vcs {
@@ -727,23 +721,8 @@ func (n *Network) CheckConservation() error {
 		return nil
 	}
 	for _, r := range n.routers {
-		for _, p := range r.in {
-			for i := range p.bufs {
-				for _, h := range p.bufs[i].live() {
-					if err := note(h); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		for _, op := range r.out {
-			for _, v := range op.vcs {
-				for _, h := range v.flits() {
-					if err := note(h); err != nil {
-						return err
-					}
-				}
-			}
+		if err := r.eachFlit(note); err != nil {
+			return err
 		}
 		// The telemetry occupancy probe is maintained incrementally by
 		// every engine; prove it against the buffer ground truth so a
@@ -792,7 +771,7 @@ func (n *Network) CheckConservation() error {
 // and a VC inside the algorithm's range.
 func (n *Network) checkHandles() error {
 	a := &n.arena
-	vcs := n.alg.VCs()
+	vcs := n.vcs
 	valid := func(h flitH) error {
 		if pi := h.pkt(); pi < 0 || int(pi) >= a.len() || h.seq() >= a.pktLen || h.vc() >= vcs {
 			return fmt.Errorf("noc: invalid flit handle %#x buffered (arena %d records, packet len %d, %d VCs)",
@@ -801,23 +780,8 @@ func (n *Network) checkHandles() error {
 		return nil
 	}
 	for _, r := range n.routers {
-		for _, p := range r.in {
-			for i := range p.bufs {
-				for _, h := range p.bufs[i].live() {
-					if err := valid(h); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		for _, op := range r.out {
-			for _, v := range op.vcs {
-				for _, h := range v.flits() {
-					if err := valid(h); err != nil {
-						return err
-					}
-				}
-			}
+		if err := r.eachFlit(valid); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -873,35 +837,35 @@ func (n *Network) checkPool() error {
 }
 
 // Reset returns the network to its just-constructed state — empty
-// buffers and queues, zeroed counters and round-robin pointers, no
-// ejection callback — while keeping every allocated structure: the
-// routers, the per-slot buffer arrays, and above all the packet arena,
-// to which all in-flight and queued packets' records are reclaimed
-// first (without pooling the arena population is dropped instead, its
-// capacity kept). A reset network therefore runs the next scenario bit
+// buffers and queues with cleared stage stamps, zeroed counters and
+// round-robin pointers, no ejection callback — while keeping every
+// allocated structure: the routers, their slot blocks, and above all
+// the packet arena, to which all in-flight and queued packets' records
+// are reclaimed first (without pooling the arena population is dropped
+// instead, its capacity kept). A reset network therefore runs the next scenario bit
 // for bit like a freshly built one but with a warm freelist, which is
 // what lets a campaign reuse one network across replications instead of
 // rebuilding it per run. The engine selection is preserved; pooling may
 // be retoggled afterwards (created is back to zero).
 func (n *Network) Reset() {
 	for _, r := range n.routers {
-		for _, p := range r.in {
+		_ = r.eachFlit(func(h flitH) error {
+			n.reclaim(h.pkt())
+			return nil
+		})
+		for i := range r.in {
+			p := &r.in[i]
 			for vc := range p.bufs {
-				for _, h := range p.bufs[vc].live() {
-					n.reclaim(h.pkt())
-				}
 				p.bufs[vc].reset()
 				p.route[vc] = routeEntry{}
 			}
 			p.rrVC = 0
 		}
-		for _, op := range r.out {
-			for _, v := range op.vcs {
-				for _, h := range v.q.live() {
-					n.reclaim(h.pkt())
-				}
-				v.q.reset()
-				v.owner = -1
+		for i := range r.out {
+			op := &r.out[i]
+			for vc := range op.vcs {
+				op.vcs[vc].q.reset()
+				op.vcs[vc].owner = -1
 			}
 			op.rr = 0
 		}

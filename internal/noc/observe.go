@@ -206,7 +206,7 @@ func (v congestionView) OutputOccupancy(d topology.Direction, vc int) int {
 	if op == nil || vc < 0 || vc >= len(op.vcs) {
 		return v.cap + 1
 	}
-	q := op.vcs[vc]
+	q := &op.vcs[vc]
 	occ := q.q.len()
 	if q.owner >= 0 {
 		occ++
@@ -221,13 +221,13 @@ func (v congestionView) OutputFree(d topology.Direction, vc int) bool {
 	if op == nil || vc < 0 || vc >= len(op.vcs) {
 		return false
 	}
-	q := op.vcs[vc]
-	return q.owner < 0 && !q.full(v.cap)
+	q := &op.vcs[vc]
+	return q.owner < 0 && !q.q.full()
 }
 
 // LiveStateBytes reports the resident bytes of the network's live
-// simulation state: the packet arena (records, per-flit stamps and the
-// free stack), every router's buffered flit handles and per-slot
+// simulation state: the packet arena (records and the free stack),
+// every router's buffered flit handles and per-slot
 // bookkeeping (masks, switching entries), and the NI source queues. It
 // counts live lengths, not backing capacities, so the figure is a
 // deterministic function of the scenario — independent of allocator
@@ -242,17 +242,10 @@ func (n *Network) LiveStateBytes() uint64 {
 	)
 	b := n.arena.bytes()
 	for _, r := range n.routers {
-		for _, p := range r.in {
-			for i := range p.bufs {
-				b += p.bufs[i].bytes(handleBytes)
-			}
+		b += uint64(r.bufferedFlits()) * handleBytes
+		for i := range r.in {
 			// Per-VC switching entries (flag + port pointer + VC, padded).
-			b += uint64(len(p.route)) * 24
-		}
-		for _, op := range r.out {
-			for _, v := range op.vcs {
-				b += v.q.bytes(handleBytes)
-			}
+			b += uint64(len(r.in[i].route)) * 24
 		}
 		b += uint64(len(r.inOcc)+len(r.ejOcc)+len(r.outOcc)) * 8
 	}

@@ -99,11 +99,13 @@ import (
 // cycles; OnEject replies run in the ejection replay), so arena growth
 // and the free stack are only ever touched single-threaded. The
 // per-record fields shards write concurrently — recv during ejection,
-// injected during injection, hops and lastMove during link traversal —
-// are distinct word-sized array elements owned by exactly one shard at
-// any time, and the barrier atomics (plus the popsDone/linkDone
-// publishes, which order a shard's pops and mailbox appends before any
-// foreign read) order them, so the engine stays race-clean.
+// injected during injection, hops during link traversal — are distinct
+// word-sized array elements owned by exactly one shard at any time, and
+// the barrier atomics (plus the popsDone/linkDone publishes, which
+// order a shard's pops and mailbox appends before any foreign read)
+// order them, so the engine stays race-clean. The stage stamps live in
+// the ring buffers and are written only by pushes, which the owning
+// shard makes (link arrivals from another shard travel by mailbox).
 //
 // Synchronization is a generation (sense-reversing) barrier: the
 // coordinator publishes the pass kind, re-arms a countdown and bumps an
@@ -363,13 +365,13 @@ func (n *Network) buildShards() {
 	// Second pass (shardOf must be complete): precompute the canonical
 	// boundary-port lists, size the mailboxes and allocate the credit
 	// counters on every cross-shard port.
-	vcs := n.alg.VCs()
+	vcs := n.vcs
 	for s := 0; s < k; s++ {
 		sh := &n.shards[s]
 		sh.outbox = make([][]pushRecord, k)
 		for v := sh.lo; v < sh.hi; v++ {
-			for _, op := range n.routers[v].out {
-				if int(n.shardOf[op.ch.Dst]) != s {
+			for i := range n.routers[v].out {
+				if op := &n.routers[v].out[i]; int(n.shardOf[op.ch.Dst]) != s {
 					sh.bports = append(sh.bports, bport{node: int32(v), op: op})
 				}
 			}
@@ -693,46 +695,16 @@ func (n *Network) stepParallel() {
 	pr.setLabel(pr.labelNone)
 }
 
-// parEject mirrors activeEject over one shard's ejection worklist,
-// deferring every tail-ejection completion: the pops, mask updates and
-// per-packet receive accounting are shard-local (a packet's flits all
-// eject at its unique destination), while statistics, the OnEject
-// callback and the arena recycle run in the serial replay.
+// parEject runs the ejection stage (ejectNode) over one shard's
+// worklist, deferring every tail-ejection completion: the pops, mask
+// updates and per-packet receive accounting are shard-local (a packet's
+// flits all eject at its unique destination), while statistics, the
+// OnEject callback and the arena recycle run in the serial replay.
 func (n *Network) parEject(s *parShard) {
-	vcs := n.alg.VCs()
-	a := &n.arena
-	tail := a.pktLen - 1
 	s.wl.ej.forEach(func(node int) {
-		r := n.routers[node]
 		s.visits++
-		budget := n.cfg.SinkRate
-		np := len(r.in)
-		if np == 0 {
-			return
-		}
-		slots := np * vcs
-		rrEj := int(n.modTab[slots])
-		for k := 0; k < slots && budget > 0; k++ {
-			sl := rrEj + k
-			if sl >= slots {
-				sl -= slots
-			}
-			p := r.in[sl/vcs]
-			vc := sl % vcs
-			if !r.ejOcc.test(p.slotBase + vc) {
-				continue
-			}
-			for budget > 0 && !p.empty(vc) && a.dst[p.head(vc).pkt()] == int32(r.node) {
-				h := n.inPop(&s.wl, node, r, p, vc)
-				pi := h.pkt()
-				n.telEj[node]++
-				budget--
-				s.moved = true
-				a.recv[pi]++
-				if h.seq() == tail {
-					s.ej = append(s.ej, pi)
-				}
-			}
+		if n.ejectNode(&s.wl, node, &s.ej) {
+			s.moved = true
 		}
 	})
 }
@@ -747,111 +719,35 @@ func (n *Network) parEject(s *parShard) {
 // lease, recycle or collector event can occur between a tail ejection
 // and the barrier, so deferring the completions there is unobservable.
 func (n *Network) replayEjections() {
-	a := &n.arena
 	for i := range n.shards {
 		s := &n.shards[i]
 		for _, pi := range s.ej {
-			n.ejected++
-			n.col.PacketEjected(n.cycle, a.created[pi], a.injected[pi], a.pktLen, int(a.hops[pi]))
-			if n.onEject != nil {
-				n.materializePacket(&n.ejView, pi)
-				n.onEject(&n.ejView)
-			}
-			n.recyclePacket(pi)
+			n.completeEjection(pi)
 		}
 		s.ej = s.ej[:0]
 	}
 }
 
-// parSwitchInject runs the switch-traversal and injection phases over
-// one shard. Fusing them into one span is sound because both phases
-// read and write only the state of the visited router and its NI — the
-// serial engines' global phase boundary orders nothing that two
-// different routers could observe.
+// parSwitchInject runs the switch-traversal and injection stages
+// (switchNode, injectNode) over one shard. Fusing them into one span is
+// sound because both read and write only the state of the visited
+// router and its NI — the serial engines' global phase boundary orders
+// nothing that two different routers could observe. The injection
+// stage's collector events (packet acceptances, source-blocked cycles)
+// are deferred to the end-of-cycle replay; everything else — source
+// queue, worm state, the output-queue pushes, the packet's injection
+// stamp (its source is unique to this shard) — is local to the shard.
 func (n *Network) parSwitchInject(s *parShard) {
-	vcs := n.alg.VCs()
 	s.wl.sw.forEach(func(node int) {
-		r := n.routers[node]
 		s.visits++
-		np := len(r.in)
-		rrIn := int(n.modTab[np])
-		for k := 0; k < np; k++ {
-			p := r.in[(rrIn+k)%np]
-			occ := r.inOcc.port(p.slotBase, vcs) &^ r.ejOcc.port(p.slotBase, vcs)
-			if occ == 0 {
-				continue
-			}
-			if n.switchPort(&s.wl, r, p, occ, vcs) {
-				s.moved = true
-			}
+		if n.switchNode(&s.wl, node) {
+			s.moved = true
 		}
 	})
-	n.parInject(s)
-}
-
-// parInject mirrors activeInject over one shard's sources, deferring
-// the collector events (packet acceptances, source-blocked cycles) to
-// the end-of-cycle replay; everything else — source queue, worm state,
-// the output-queue pushes, the packet's injection stamp (its source is
-// unique to this shard) — is local to the shard.
-func (n *Network) parInject(s *parShard) {
-	a := &n.arena
 	s.wl.ni.forEach(func(node int) {
-		q := n.nis[node]
-		r := n.routers[node]
 		s.visits++
-		budget := n.cfg.InjectRate
-		for budget > 0 {
-			if q.sending < 0 {
-				if q.queue.len() == 0 {
-					break
-				}
-				q.sending = q.queue.pop()
-				q.nextSeq = 0
-				q.vc = 0
-				q.route = routeEntry{}
-			}
-			pi := q.sending
-			if q.nextSeq == 0 && !q.route.active {
-				d := n.route(r, pi, 0)
-				op := r.outPortByDir(d.Dir)
-				if op == nil {
-					panic(fmt.Sprintf("noc: %s chose missing direction %v at source %d for %s",
-						n.alg.Name(), d.Dir, node, n.pktString(pi)))
-				}
-				ovc := op.vcs[d.VC]
-				if n.canAdmit(ovc) {
-					ovc.owner = pi
-					q.route = routeEntry{active: true, port: op, vc: d.VC}
-				} else {
-					s.stats = append(s.stats, statRecord{})
-					break
-				}
-			}
-			ovc := q.route.port.vcs[q.route.vc]
-			if ovc.full(n.cfg.OutBufCap) {
-				s.stats = append(s.stats, statRecord{})
-				break
-			}
-			h := mkFlit(pi, q.nextSeq, q.route.vc)
-			a.lastMove[a.flitIndex(h)] = n.cycle + 1
-			n.outPush(&s.wl, node, r, q.route.port, q.route.vc, h)
-			n.telInj[node]++
+		if n.injectNode(&s.wl, node, &s.stats) {
 			s.moved = true
-			q.nextSeq++
-			budget--
-			if h.seq() == 0 {
-				a.injected[pi] = n.cycle
-				s.stats = append(s.stats, statRecord{injected: true, flits: a.pktLen})
-			}
-			if h.seq() == a.pktLen-1 {
-				ovc.owner = -1
-				q.sending = -1
-				q.route = routeEntry{}
-			}
-		}
-		if q.sending < 0 && q.queue.len() == 0 {
-			s.wl.ni.remove(node)
 		}
 	})
 }
@@ -862,12 +758,13 @@ func (n *Network) parInject(s *parShard) {
 // pass, and no other shard pushes into this shard's input slots).
 // Cross-shard arrivals use the credit discipline of parLinkPort.
 func (n *Network) parLink(s *parShard, g uint64) {
-	vcs := n.alg.VCs()
+	vcs := n.vcs
 	rrVC := int(n.modTab[vcs]) // every port has alg.VCs() queues
 	s.wl.out.forEach(func(node int) {
 		r := n.routers[node]
 		s.visits++
-		for _, op := range r.out {
+		for i := range r.out {
+			op := &r.out[i]
 			occ := r.outOcc.port(op.slotBase, vcs)
 			if occ == 0 {
 				continue
@@ -902,13 +799,8 @@ func (n *Network) parLinkPort(s *parShard, node int, r *router, op *outPort, occ
 		if occ&(1<<uint(vi)) == 0 {
 			continue
 		}
-		v := op.vcs[vi]
-		h := v.head()
-		fi := a.flitIndex(h)
-		if a.lastMove[fi] >= n.cycle+1 {
-			continue
-		}
-		if !n.canDepart(v) {
+		v := &op.vcs[vi]
+		if v.q.advanced(n.cycle+1) || !n.canDepart(v) {
 			continue
 		}
 		dst := op.ch.Dst
@@ -919,12 +811,11 @@ func (n *Network) parLinkPort(s *parShard, node int, r *router, op *outPort, occ
 			} else {
 				s.cdefers++
 				n.pr.awaitPops(t, g)
-				if op.peer.full(vi, n.cfg.InBufCap) {
+				if op.peer.bufs[vi].full() {
 					continue
 				}
 			}
-			n.outPop(&s.wl, node, r, op, vi)
-			a.lastMove[fi] = n.cycle + 1
+			h := n.outPop(&s.wl, node, r, op, vi)
 			if h.seq() == 0 {
 				a.hops[h.pkt()]++
 			}
@@ -933,17 +824,15 @@ func (n *Network) parLinkPort(s *parShard, node int, r *router, op *outPort, occ
 			s.moved = true
 			return // one flit per physical link per cycle
 		}
-		ip := op.peer
-		if ip.full(vi, n.cfg.InBufCap) {
+		if op.peer.bufs[vi].full() {
 			continue
 		}
-		n.outPop(&s.wl, node, r, op, vi)
-		a.lastMove[fi] = n.cycle + 1
+		h := n.outPop(&s.wl, node, r, op, vi)
 		if h.seq() == 0 {
 			a.hops[h.pkt()]++
 		}
 		n.linkFlits[op.ch.ID]++
-		n.inPush(&s.wl, dst, op.peerRouter, ip, vi, h)
+		n.inPush(&s.wl, dst, op.peerRouter, op.peer, vi, h)
 		s.moved = true
 		return // one flit per physical link per cycle
 	}
@@ -1007,12 +896,7 @@ func (n *Network) finishParallelCycle() {
 	for i := range n.shards {
 		s := &n.shards[i]
 		for _, st := range s.stats {
-			if st.injected {
-				n.injected++
-				n.col.PacketInjected(n.cycle, st.flits)
-			} else {
-				n.col.SourceBlocked(n.cycle)
-			}
+			n.recordInjection(st)
 		}
 		s.stats = s.stats[:0]
 		if s.moved {
@@ -1104,7 +988,8 @@ func (n *Network) checkParallelInvariants() error {
 		// speculate wrongly.
 		bi := 0
 		for v := s.lo; v < s.hi; v++ {
-			for _, op := range n.routers[v].out {
+			for j := range n.routers[v].out {
+				op := &n.routers[v].out[j]
 				if int(n.shardOf[op.ch.Dst]) == i {
 					continue
 				}

@@ -4,12 +4,12 @@ import (
 	"gonoc/internal/topology"
 )
 
-// fifo is a head-index queue: pop returns the head in O(1) without
-// shifting the remaining elements (the seed implementation copied the
-// whole backing slice on every pop). The backing slice is reset when
-// the queue drains and compacted once the dead prefix crosses a
-// threshold, so steady-state push/pop traffic cannot grow it without
-// bound.
+// fifo is the growable head-index queue behind the unbounded NI source
+// queue (router buffers are fixed rings, below): pop returns the head in
+// O(1) without shifting the remaining elements. The backing slice is
+// reset when the queue drains and compacted once the dead prefix
+// crosses a threshold, so steady-state push/pop traffic cannot grow it
+// without bound.
 type fifo[T any] struct {
 	items []T
 	start int
@@ -65,6 +65,76 @@ func (q *fifo[T]) reset() {
 // bytes per element (length-based, so the figure is deterministic).
 func (q *fifo[T]) bytes(elemSize int) uint64 { return uint64(q.len() * elemSize) }
 
+// ring is a fixed-capacity FIFO of flit handles: a window of the owning
+// router's slot block (newRouter), so the buffers of one router share a
+// few cache lines and nothing grows or compacts inside a cycle. It also
+// carries the one-stage-per-cycle stamp of the flits it holds: stamp is
+// cycle+1 of the most recent push and cnt the pushes made that cycle.
+// Flits pushed this cycle sit at the tail and none of them can leave
+// before the next cycle, so the head was pushed this cycle exactly when
+// all n resident flits were — advanced is that test, and it decides
+// bit for bit like a per-flit stamp (ring_test.go keeps one as oracle).
+type ring struct {
+	buf   []flitH // len(buf) is the capacity
+	stamp uint64  // cycle+1 of the last push; 0 = none since Reset
+	start int32   // index of the head flit
+	n     int32   // flits held
+	cnt   int32   // pushes made in the cycle stamp names
+}
+
+func (q *ring) len() int    { return int(q.n) }
+func (q *ring) empty() bool { return q.n == 0 }
+func (q *ring) full() bool  { return int(q.n) == len(q.buf) }
+func (q *ring) head() flitH { return q.buf[q.start] }
+
+// at returns the i-th flit from the head (0 <= i < len).
+func (q *ring) at(i int) flitH {
+	if i += int(q.start); i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return q.buf[i]
+}
+
+// push appends h during the cycle whose stamp is now (cycle+1). Every
+// caller checks for room first, so a push on a full ring is a bug.
+func (q *ring) push(h flitH, now uint64) {
+	if q.full() {
+		panic("noc: push on a full ring buffer")
+	}
+	i := int(q.start + q.n)
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = h
+	q.n++
+	if q.stamp == now {
+		q.cnt++
+	} else {
+		q.stamp, q.cnt = now, 1
+	}
+}
+
+func (q *ring) pop() flitH {
+	h := q.buf[q.start]
+	if q.start++; int(q.start) == len(q.buf) {
+		q.start = 0
+	}
+	q.n--
+	return h
+}
+
+// advanced reports whether the head flit already moved a pipeline stage
+// in the cycle whose stamp is now, and so must wait for the next one.
+func (q *ring) advanced(now uint64) bool { return q.stamp == now && q.cnt >= q.n }
+
+// reset returns the ring to its freshly built state. The stamp goes
+// too: one left over from the last run would meet an equal cycle+1 in
+// the next run on a reused network. (A stale stamp only survives while
+// its ring has seen no push since Reset, i.e. while it is empty and
+// nobody asks, so it could at worst inflate cnt; clearing it keeps a
+// reset network field for field equal to a fresh one.)
+func (q *ring) reset() { q.stamp, q.start, q.n, q.cnt = 0, 0, 0, 0 }
+
 // outVC is one output queue of a physical output channel — the paper's
 // "multiple output queues for each physical link". It is a FIFO of
 // flit handles with an ownership discipline guaranteeing that the flits
@@ -73,24 +143,15 @@ func (q *fifo[T]) bytes(elemSize int) uint64 { return uint64(q.len() * elemSize)
 // set when its head flit is accepted and cleared when its tail flit is
 // accepted (trailing packets then queue strictly behind).
 type outVC struct {
-	q     fifo[flitH]
+	q     ring
 	owner int32
 }
-
-func (v *outVC) full(cap int) bool { return v.q.len() >= cap }
-func (v *outVC) empty() bool       { return v.q.len() == 0 }
-func (v *outVC) head() flitH       { return v.q.head() }
-func (v *outVC) push(h flitH)      { v.q.push(h) }
-func (v *outVC) pop() flitH        { return v.q.pop() }
-
-// flits returns the queued handles in FIFO order (see fifo.live).
-func (v *outVC) flits() []flitH { return v.q.live() }
 
 // outPort is one physical output channel with its VC queues and the
 // round-robin pointer arbitrating them onto the link.
 type outPort struct {
 	ch       topology.Channel
-	vcs      []*outVC
+	vcs      []outVC
 	rr       int // next VC to consider for link traversal
 	slotBase int // bit index of vcs[0] in the router's strided slot masks
 
@@ -133,34 +194,19 @@ type routeEntry struct {
 // re-enter VC 0 past the dateline and close a cycle.
 type inPort struct {
 	ch       topology.Channel
-	bufs     []fifo[flitH] // per-VC receive slots
-	route    []routeEntry  // per-VC switching state
-	rrVC     int           // round-robin VC pointer for the switch stage
-	slotBase int           // bit index of bufs[0] in the router's strided slot masks
-}
-
-func (p *inPort) full(vc, cap int) bool { return p.bufs[vc].len() >= cap }
-func (p *inPort) empty(vc int) bool     { return p.bufs[vc].len() == 0 }
-func (p *inPort) head(vc int) flitH     { return p.bufs[vc].head() }
-func (p *inPort) push(vc int, h flitH)  { p.bufs[vc].push(h) }
-func (p *inPort) pop(vc int) flitH      { return p.bufs[vc].pop() }
-
-// buffered counts flits across all VC slots of the port.
-func (p *inPort) buffered() int {
-	n := 0
-	for i := range p.bufs {
-		n += p.bufs[i].len()
-	}
-	return n
+	bufs     []ring       // per-VC receive slots
+	route    []routeEntry // per-VC switching state
+	rrVC     int          // round-robin VC pointer for the switch stage
+	slotBase int          // bit index of bufs[0] in the router's strided slot masks
 }
 
 // router is the switching element of one node.
 type router struct {
 	node int
-	in   []*inPort  // indexed like topology.In(node)
-	out  []*outPort // indexed like topology.Out(node)
-	rrIn int        // round-robin start for switch allocation
-	rrEj int        // round-robin start for the ejection port
+	in   []inPort  // indexed like topology.In(node)
+	out  []outPort // indexed like topology.Out(node)
+	rrIn int       // round-robin start for switch allocation
+	rrEj int       // round-robin start for the ejection port
 
 	// Slot-occupancy masks for the activity-driven engine, one bit per
 	// strided (port, VC) slot (see slotMask for the layout). inOcc
@@ -181,36 +227,40 @@ type router struct {
 }
 
 // newRouter builds one node's switching element with a flattened slot
-// layout: the port structs, the per-VC receive slots, the switching
-// entries, and all output VC queues of the node each live in a single
-// contiguous block, so the per-cycle phase walks touch a handful of
-// cache lines per router instead of one heap object per slot. stride is
-// the power-of-two mask stride ports are spaced at (Network.stride).
-func newRouter(node int, t topology.Topology, vcs, stride int) *router {
+// layout: the ports, the per-VC rings and switching entries, and the
+// flit slots behind every ring (inCap per input slot, outCap per output
+// queue) each live in one contiguous block, so the per-cycle phase
+// walks touch a handful of cache lines per router instead of one heap
+// object per slot. stride is the power-of-two mask stride ports are
+// spaced at (Network.stride).
+func newRouter(node int, t topology.Topology, vcs, stride, inCap, outCap int) *router {
 	r := &router{node: node}
 	ins, outs := t.In(node), t.Out(node)
-	inBlock := make([]inPort, len(ins))
-	bufBlock := make([]fifo[flitH], len(ins)*vcs)
-	routeBlock := make([]routeEntry, len(ins)*vcs)
-	r.in = make([]*inPort, len(ins))
-	for i, c := range ins {
-		inBlock[i] = inPort{ch: c, bufs: bufBlock[i*vcs : (i+1)*vcs], route: routeBlock[i*vcs : (i+1)*vcs], slotBase: i * stride}
-		r.in[i] = &inBlock[i]
+	slots := make([]flitH, (len(ins)*inCap+len(outs)*outCap)*vcs)
+	carve := func(n int) []flitH {
+		w := slots[:n:n]
+		slots = slots[n:]
+		return w
 	}
-	outBlock := make([]outPort, len(outs))
-	vcBlock := make([]outVC, len(outs)*vcs)
-	r.out = make([]*outPort, len(outs))
+	r.in = make([]inPort, len(ins))
+	rings := make([]ring, len(ins)*vcs)
+	routes := make([]routeEntry, len(ins)*vcs)
+	for i, c := range ins {
+		r.in[i] = inPort{ch: c, bufs: rings[i*vcs : (i+1)*vcs], route: routes[i*vcs : (i+1)*vcs], slotBase: i * stride}
+		for v := range r.in[i].bufs {
+			r.in[i].bufs[v].buf = carve(inCap)
+		}
+	}
+	r.out = make([]outPort, len(outs))
+	queues := make([]outVC, len(outs)*vcs)
 	for i, c := range outs {
-		op := &outBlock[i]
+		op := &r.out[i]
 		op.ch = c
 		op.slotBase = i * stride
-		op.vcs = make([]*outVC, vcs)
-		for v := 0; v < vcs; v++ {
-			ov := &vcBlock[i*vcs+v]
-			ov.owner = -1
-			op.vcs[v] = ov
+		op.vcs = queues[i*vcs : (i+1)*vcs]
+		for v := range op.vcs {
+			op.vcs[v] = outVC{q: ring{buf: carve(outCap)}, owner: -1}
 		}
-		r.out[i] = op
 		if int(c.Dir) < len(r.byDir) && r.byDir[c.Dir] == nil {
 			r.byDir[c.Dir] = op // first match, like the scan it replaces
 		}
@@ -231,9 +281,38 @@ func (r *router) outPortByDir(d topology.Direction) *outPort {
 
 // inPortByChannel returns the input port for channel id, or nil.
 func (r *router) inPortByChannel(id int) *inPort {
-	for _, p := range r.in {
-		if p.ch.ID == id {
-			return p
+	for i := range r.in {
+		if r.in[i].ch.ID == id {
+			return &r.in[i]
+		}
+	}
+	return nil
+}
+
+// eachFlit calls fn for every flit resident in this router's buffers,
+// input slots first, each buffer in FIFO order, stopping at the first
+// error.
+func (r *router) eachFlit(fn func(flitH) error) error {
+	walk := func(q *ring) error {
+		for i := 0; i < q.len(); i++ {
+			if err := fn(q.at(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i := range r.in {
+		for v := range r.in[i].bufs {
+			if err := walk(&r.in[i].bufs[v]); err != nil {
+				return err
+			}
+		}
+	}
+	for i := range r.out {
+		for v := range r.out[i].vcs {
+			if err := walk(&r.out[i].vcs[v].q); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -242,12 +321,14 @@ func (r *router) inPortByChannel(id int) *inPort {
 // bufferedFlits counts flits resident in this router's buffers.
 func (r *router) bufferedFlits() int {
 	n := 0
-	for _, p := range r.in {
-		n += p.buffered()
+	for i := range r.in {
+		for v := range r.in[i].bufs {
+			n += r.in[i].bufs[v].len()
+		}
 	}
-	for _, p := range r.out {
-		for _, v := range p.vcs {
-			n += v.q.len()
+	for i := range r.out {
+		for v := range r.out[i].vcs {
+			n += r.out[i].vcs[v].q.len()
 		}
 	}
 	return n

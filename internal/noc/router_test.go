@@ -8,61 +8,29 @@ import (
 	"gonoc/internal/topology"
 )
 
-func TestOutVCQueueFIFO(t *testing.T) {
-	v := &outVC{owner: -1}
-	for i := 0; i < 3; i++ {
-		v.push(mkFlit(0, i, 0))
-	}
-	if v.empty() || !v.full(3) {
-		t.Fatal("fill state wrong")
-	}
-	for i := 0; i < 3; i++ {
-		h := v.pop()
-		if h.seq() != i {
-			t.Fatalf("pop order: got seq %d at position %d", h.seq(), i)
-		}
-	}
-	if !v.empty() {
-		t.Fatal("queue not empty after draining")
-	}
-}
-
-func TestOutVCFullRespectsCapacity(t *testing.T) {
-	v := &outVC{owner: -1}
-	for i := 0; i < 2; i++ {
-		v.push(mkFlit(0, i, 0))
-	}
-	if v.full(3) {
-		t.Fatal("2 of 3 reported full")
-	}
-	if !v.full(2) {
-		t.Fatal("2 of 2 not full")
-	}
-}
-
 func TestInPortPerVCSlots(t *testing.T) {
-	ch := topology.Channel{ID: 0, Src: 0, Dst: 1, Dir: topology.DirClockwise}
-	p := &inPort{ch: ch, bufs: make([]fifo[flitH], 2), route: make([]routeEntry, 2)}
-	p.push(0, mkFlit(0, 0, 0))
-	p.push(1, mkFlit(0, 1, 1))
-	if p.empty(0) || p.empty(1) {
+	r := newRouter(0, topology.MustRing(4), 2, 2, 1, 3)
+	p := &r.in[0]
+	p.bufs[0].push(mkFlit(0, 0, 0), 1)
+	p.bufs[1].push(mkFlit(0, 1, 1), 1)
+	if p.bufs[0].empty() || p.bufs[1].empty() {
 		t.Fatal("slots empty after push")
 	}
-	if p.buffered() != 2 {
-		t.Fatalf("buffered = %d", p.buffered())
+	if r.bufferedFlits() != 2 {
+		t.Fatalf("buffered = %d", r.bufferedFlits())
 	}
-	if p.full(0, 1) != true || p.full(0, 2) != false {
+	if !p.bufs[0].full() || r.out[0].vcs[0].q.full() {
 		t.Fatal("full computation")
 	}
-	h := p.pop(0)
-	if h.seq() != 0 || !p.empty(0) || p.empty(1) {
+	h := p.bufs[0].pop()
+	if h.seq() != 0 || !p.bufs[0].empty() || p.bufs[1].empty() {
 		t.Fatal("pop affected wrong slot")
 	}
 }
 
 func TestRouterConstruction(t *testing.T) {
 	s := topology.MustSpidergon(8)
-	r := newRouter(3, s, 2, 2)
+	r := newRouter(3, s, 2, 2, 1, 3)
 	if len(r.in) != 3 || len(r.out) != 3 {
 		t.Fatalf("ports: %d in, %d out", len(r.in), len(r.out))
 	}
@@ -94,7 +62,7 @@ func TestRouterConstruction(t *testing.T) {
 
 func TestCongestionViewBounds(t *testing.T) {
 	s := topology.MustSpidergon(8)
-	r := newRouter(0, s, 2, 2)
+	r := newRouter(0, s, 2, 2, 1, 3)
 	v := congestionView{r: r, cap: 3}
 	if occ := v.OutputOccupancy(topology.DirClockwise, 0); occ != 0 {
 		t.Fatalf("fresh occupancy = %d", occ)

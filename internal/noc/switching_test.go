@@ -171,3 +171,77 @@ func TestSAFTailResidencyRule(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Store-and-forward looks for the packet's tail behind the head, which
+// on a ring buffer may sit past the wrap. With OutBufCap == PacketLen a
+// queue only ever admits a packet when empty, so the live engines always
+// start a packet at slot 0; the ring is rotated by hand here to put the
+// wrap in the middle of the packet.
+func TestCanDepartAcrossRingWrap(t *testing.T) {
+	for _, mode := range []Switching{VirtualCutThrough, StoreAndForward} {
+		net := switchingNet(t, mode, 6)
+		v := &net.routers[0].out[0].vcs[0]
+		for i := 0; i < 4; i++ { // head index 4 of 6
+			v.q.push(mkFlit(0, 5, 0), 1)
+			v.q.pop()
+		}
+		for seq := 0; seq < 6; seq++ {
+			v.q.push(mkFlit(1, seq, 0), 1)
+			want := mode != StoreAndForward || seq == 5
+			if got := net.canDepart(v); got != want {
+				t.Fatalf("%v: canDepart = %v with flits 0..%d of 6 resident", mode, got, seq)
+			}
+		}
+		if !v.q.full() || v.q.start != 4 || v.q.at(5).seq() != 5 {
+			t.Fatalf("%v: packet does not straddle the wrap (start %d, %d held)", mode, v.q.start, v.q.len())
+		}
+	}
+}
+
+// Live wrapped rings: with OutBufCap two flits above PacketLen packets
+// start at every slot, so under load the tail scan and the whole-packet
+// admission run on queues that straddle the wrap. The active engine must
+// still track the sweep reference cycle for cycle, and deliver everything.
+func TestPacketSwitchingOnWrappedRings(t *testing.T) {
+	for _, mode := range []Switching{VirtualCutThrough, StoreAndForward} {
+		cfg := DefaultConfig()
+		cfg.Switching, cfg.OutBufCap = mode, cfg.PacketLen+2
+		r := topology.MustRing(10)
+		active, sweep := enginePair(t, r, routing.NewRingRouting(r), cfg)
+		rng := newTestRNG(5)
+		wrapped := 0
+		for c := 0; c < 1500; c++ {
+			for node := 0; node < 10; node++ {
+				if rng.next()%12 == 0 {
+					if dst := int(rng.next() % 10); dst != node {
+						_ = active.Inject(node, dst)
+						_ = sweep.Inject(node, dst)
+					}
+				}
+			}
+			active.Step()
+			sweep.Step()
+			if fa, fs := stateFingerprint(active), stateFingerprint(sweep); fa != fs {
+				t.Fatalf("%v: engines diverged at cycle %d:\nactive: %s\nsweep:  %s", mode, c, fa, fs)
+			}
+			for _, rt := range active.routers {
+				for i := range rt.out {
+					for v := range rt.out[i].vcs {
+						if q := &rt.out[i].vcs[v].q; int(q.start)+q.len() > len(q.buf) {
+							wrapped++
+						}
+					}
+				}
+			}
+		}
+		if wrapped == 0 {
+			t.Fatalf("%v: no output queue ever straddled the wrap", mode)
+		}
+		if err := active.Drain(100000); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if active.EjectedPackets() != active.CreatedPackets() {
+			t.Fatalf("%v: delivered %d of %d", mode, active.EjectedPackets(), active.CreatedPackets())
+		}
+	}
+}
