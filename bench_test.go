@@ -470,6 +470,62 @@ func BenchmarkPerfGate(b *testing.B) {
 			}
 		})
 	}
+
+	// The warm-replay point gates the campaign stack instead of the
+	// engine: a FileCache holding twice the replications the campaign
+	// asks for is opened and replayed into a JSONL sink, simulating
+	// nothing. Allocator traffic per replayed point is then what
+	// expansion, cache open, lookup and emission cost — a per-point
+	// topology build in expansion, or an open that decodes entries
+	// nobody looks up, multiplies it.
+	b.Run("replay-warm", func(b *testing.B) {
+		c := exp.Campaign{
+			Name:       "replay-warm",
+			Topologies: []core.TopologyKind{core.Ring, core.Spidergon, core.Mesh},
+			Nodes:      []int{16, 64},
+			Traffics:   []exp.TrafficSpec{{Kind: core.UniformTraffic}},
+			FlitRates:  []float64{0.02, 0.04, 0.06, 0.08},
+			Reps:       8,
+			Seed:       1,
+			Measure:    50,
+		}
+		dir := b.TempDir()
+		fill, err := exp.OpenFileCache(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := (exp.Runner{Parallel: 2, Cache: fill}).Run(context.Background(), c); err != nil {
+			b.Fatal(err)
+		}
+		if err := fill.Close(); err != nil {
+			b.Fatal(err)
+		}
+		c.Reps = 4 // a prefix of each cell's seed stream: all cached
+		points := len(c.Topologies) * len(c.Nodes) * len(c.FlitRates) * c.Reps
+		replay := func() {
+			fc, err := exp.OpenFileCache(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer fc.Close()
+			if _, err := (exp.Runner{Parallel: 2, Cache: fc}).Run(context.Background(), c, exp.NewJSONLWriter(io.Discard)); err != nil {
+				b.Fatal(err)
+			}
+			if fc.Hits() != points || fc.Misses() != 0 {
+				b.Fatalf("warm replay: %d hits, %d misses of %d points", fc.Hits(), fc.Misses(), points)
+			}
+		}
+		for i := 0; i < b.N; i++ {
+			replay()
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		replay()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(points), "allocs/point")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(points), "bytes/point")
+	})
 }
 
 // --- substrate micro-benchmarks ---

@@ -38,6 +38,56 @@ func TestScenarioValidate(t *testing.T) {
 	}
 }
 
+// Validate answers the geometry question from remembered Build verdicts:
+// asked again — as a campaign asks for every cell and RunPerf for every
+// run — it gives Build's own answer, error text included, without
+// constructing the graph, whatever the geometry's size; and a full memo
+// is emptied and refilled, not grown or left stale.
+func TestValidateRemembersBuildVerdicts(t *testing.T) {
+	base := NewScenario(Mesh, 64, UniformTraffic, 0.01)
+	geometries := []Scenario{
+		base,
+		func() Scenario { s := base; s.Cols, s.Rows = 16, 4; return s }(),
+		func() Scenario { s := base; s.Cols, s.Rows = 16, 5; return s }(), // 80 != 64
+		func() Scenario { s := base; s.Routing = "west-first"; return s }(),
+		func() Scenario { s := base; s.Routing = "zigzag"; return s }(),
+		func() Scenario { s := base; s.Topo, s.Nodes, s.Routing = IrregularMesh, 10, "yx"; return s }(), // irregular: no yx
+		func() Scenario { s := base; s.Topo, s.Routing = Ring, "yx"; return s }(),                       // override off the mesh family
+		func() Scenario { s := base; s.Topo, s.Nodes = Spidergon, 9; return s }(),
+		func() Scenario { s := base; s.Topo = Torus; s.Cols, s.Rows = 32, 2; return s }(), // torus needs >= 3 per dimension
+		func() Scenario { s := base; s.Topo = "hypercube"; return s }(),
+	}
+	for round := 0; round < 2; round++ { // round 1 answers from the memo
+		for _, s := range geometries {
+			_, _, want := s.Build()
+			got := s.Validate()
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Fatalf("round %d, %s (%dx%d, routing %q): Validate = %v, Build = %v",
+					round, s.Label(), s.Cols, s.Rows, s.Routing, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = base.Validate() }); allocs > 2 {
+		t.Fatalf("validating a remembered mesh-8x8 costs %.0f allocations: it still builds", allocs)
+	}
+	for cols := 5; cols < 5+2*maxBuildVerdicts; cols++ { // more distinct geometries than the memo holds
+		s := NewScenario(Mesh, 4, UniformTraffic, 0.01)
+		s.Cols, s.Rows = cols, 1
+		if err := s.Validate(); err == nil {
+			t.Fatalf("mesh %dx1 accepted for 4 nodes", cols)
+		}
+	}
+	buildVerdicts.Lock()
+	held := len(buildVerdicts.m)
+	buildVerdicts.Unlock()
+	if held > maxBuildVerdicts {
+		t.Fatalf("memo holds %d verdicts, bound is %d", held, maxBuildVerdicts)
+	}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("after the memo turned over: %v", err)
+	}
+}
+
 func TestScenarioBuildKinds(t *testing.T) {
 	for _, kind := range []TopologyKind{Ring, Spidergon, Mesh, IrregularMesh, FactorMesh} {
 		s := NewScenario(kind, 12, UniformTraffic, 0.01)

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"gonoc/internal/analysis"
 	"gonoc/internal/noc"
@@ -291,7 +292,46 @@ func (s Scenario) Validate() error {
 	if _, err := s.Pattern(); err != nil {
 		return err
 	}
-	_, _, err := s.Build()
+	return s.buildable()
+}
+
+// geometry is everything Build reads from a scenario.
+type geometry struct {
+	topo              TopologyKind
+	nodes, cols, rows int
+	routing           string
+}
+
+// buildVerdicts remembers Build's error (nil: it builds) per geometry,
+// so validating the thousands of replications and rate points of a
+// campaign constructs each distinct interconnect once instead of once
+// per point. Build is a pure function of the geometry, which is what
+// makes the memo invisible; it is emptied when full so that a process
+// fed unbounded distinct geometries cannot grow it without limit.
+var buildVerdicts = struct {
+	sync.Mutex
+	m map[geometry]error
+}{m: make(map[geometry]error)}
+
+const maxBuildVerdicts = 1024
+
+// buildable reports whether Build would succeed, constructing the
+// topology only the first time a geometry is asked about.
+func (s Scenario) buildable() error {
+	g := geometry{s.Topo, s.Nodes, s.Cols, s.Rows, s.Routing}
+	buildVerdicts.Lock()
+	err, known := buildVerdicts.m[g]
+	buildVerdicts.Unlock()
+	if known {
+		return err
+	}
+	_, _, err = s.Build()
+	buildVerdicts.Lock()
+	if len(buildVerdicts.m) >= maxBuildVerdicts {
+		clear(buildVerdicts.m)
+	}
+	buildVerdicts.m[g] = err
+	buildVerdicts.Unlock()
 	return err
 }
 

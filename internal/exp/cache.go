@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"gonoc/internal/core"
 )
@@ -32,10 +34,9 @@ type Cache interface {
 // MemCache is an in-memory Cache with hit/miss accounting. The zero
 // value is not ready; use NewMemCache.
 type MemCache struct {
-	mu     sync.RWMutex
-	m      map[string]core.Result
-	hits   int
-	misses int
+	mu           sync.RWMutex
+	m            map[string]core.Result
+	hits, misses atomic.Int64
 }
 
 // NewMemCache returns an empty in-memory cache.
@@ -43,13 +44,13 @@ func NewMemCache() *MemCache { return &MemCache{m: make(map[string]core.Result)}
 
 // Lookup implements Source.
 func (c *MemCache) Lookup(key string) (core.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
 	r, ok := c.m[key]
+	c.mu.RUnlock()
 	if ok {
-		c.hits++
+		c.hits.Add(1)
 	} else {
-		c.misses++
+		c.misses.Add(1)
 	}
 	return r, ok
 }
@@ -70,18 +71,10 @@ func (c *MemCache) Len() int {
 }
 
 // Hits returns the number of successful Lookups so far.
-func (c *MemCache) Hits() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.hits
-}
+func (c *MemCache) Hits() int { return int(c.hits.Load()) }
 
 // Misses returns the number of failed Lookups so far.
-func (c *MemCache) Misses() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.misses
-}
+func (c *MemCache) Misses() int { return int(c.misses.Load()) }
 
 // cacheFile is the JSONL store inside a FileCache directory.
 const cacheFile = "results.jsonl"
@@ -96,11 +89,27 @@ const cacheFile = "results.jsonl"
 // whatever completed — a torn final line (from a killed process) is
 // skipped, not fatal. The on-disk order is the runner's emission
 // order, hence deterministic for a given campaign.
+//
+// In memory the cache is the file's bytes plus an index from key to
+// line: open only locates each line's key, and Lookup decodes the line
+// it is asked for, in the goroutine that asked. A campaign therefore
+// pays JSON decoding on its workers, and only for the points it runs.
 type FileCache struct {
-	mem  *MemCache
 	f    *os.File
 	path string
+
+	mu sync.RWMutex
+	// slab holds every line this handle knows: the file as read at open,
+	// then each line Store appended. It only ever grows at the end, so a
+	// subslice taken under mu stays valid and immutable after unlocking.
+	slab  []byte
+	index map[string]span
+
+	hits, misses atomic.Int64
 }
+
+// span locates one line (without its newline) in FileCache.slab.
+type span struct{ off, n int }
 
 // cacheEntry is the JSONL wire form of one cached result. Results can
 // carry NaN metrics (a replication that measured no packet), which
@@ -150,8 +159,34 @@ func (e cacheEntry) decode() core.Result {
 	return r
 }
 
+// entryPrefix and entryKeyEnd frame the key in every line Store writes:
+// encoding/json emits cacheEntry's fields in declaration order.
+const (
+	entryPrefix = `{"key":"`
+	entryKeyEnd = `","result":`
+)
+
+// lineKey returns the key of one cache line, or "" for a line to skip
+// (torn, foreign, keyless). Lines in Store's own layout are recognised
+// by their frame alone — their body is decoded, and checked, only when
+// Lookup asks for it; anything else, including a key that needed JSON
+// escapes, goes through the full decoder.
+func lineKey(line []byte) string {
+	if bytes.HasPrefix(line, []byte(entryPrefix)) && line[len(line)-1] == '}' {
+		rest := line[len(entryPrefix):]
+		if i := bytes.IndexAny(rest, `"\`); i >= 0 && bytes.HasPrefix(rest[i:], []byte(entryKeyEnd)) {
+			return string(rest[:i])
+		}
+	}
+	var e cacheEntry
+	if json.Unmarshal(line, &e) != nil {
+		return ""
+	}
+	return e.Key
+}
+
 // OpenFileCache opens (creating if needed) the JSONL result cache in
-// dir. The caller must Close it to flush buffered appends.
+// dir. Store writes through, so Close only releases the descriptor.
 func OpenFileCache(dir string) (*FileCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("exp: cache dir: %w", err)
@@ -161,45 +196,74 @@ func OpenFileCache(dir string) (*FileCache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: cache file: %w", err)
 	}
-	c := &FileCache{mem: NewMemCache(), f: f, path: path}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		var e cacheEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Key == "" {
-			continue // torn or foreign line; resume past it
-		}
-		_ = c.mem.Store(e.Key, e.decode())
-	}
-	if err := sc.Err(); err != nil {
+	slab, err := os.ReadFile(path)
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("exp: reading cache: %w", err)
 	}
-	return c, nil
+	return &FileCache{f: f, path: path, slab: slab, index: indexLines(slab)}, nil
 }
 
-// Lookup implements Source.
-func (c *FileCache) Lookup(key string) (core.Result, bool) { return c.mem.Lookup(key) }
+// indexLines maps each key in slab to its line; of several lines with
+// one key the last wins.
+func indexLines(slab []byte) map[string]span {
+	index := make(map[string]span)
+	for off := 0; off < len(slab); {
+		n := bytes.IndexByte(slab[off:], '\n')
+		if n < 0 {
+			n = len(slab) - off // unterminated last line
+		}
+		if key := lineKey(slab[off : off+n]); key != "" {
+			index[key] = span{off, n}
+		}
+		off += n + 1
+	}
+	return index
+}
+
+// Lookup implements Source. A line whose body does not decode to an
+// entry for key — a torn write that kept its prefix — is a miss, and is
+// forgotten so that the re-simulated result is appended by Store.
+func (c *FileCache) Lookup(key string) (core.Result, bool) {
+	c.mu.RLock()
+	sp, ok := c.index[key]
+	line := c.slab[sp.off : sp.off+sp.n] // empty for the zero span of an unknown key
+	c.mu.RUnlock()
+	if ok {
+		var e cacheEntry
+		if json.Unmarshal(line, &e) == nil && e.Key == key {
+			c.hits.Add(1)
+			return e.decode(), true
+		}
+		c.mu.Lock()
+		if c.index[key] == sp {
+			delete(c.index, key)
+		}
+		c.mu.Unlock()
+	}
+	c.misses.Add(1)
+	return core.Result{}, false
+}
 
 // Store implements Cache, appending the entry to the JSONL file. A key
-// already present (e.g. loaded at open) is refreshed in memory but not
-// re-appended.
+// already present (e.g. loaded at open) is not re-appended: equal keys
+// mean equal results.
 func (c *FileCache) Store(key string, r core.Result) error {
-	c.mem.mu.Lock()
-	_, dup := c.mem.m[key]
-	c.mem.m[key] = r
-	c.mem.mu.Unlock()
-	if dup {
-		return nil
-	}
 	b, err := json.Marshal(encodeEntry(key, r))
 	if err != nil {
 		return fmt.Errorf("exp: encoding cache entry: %w", err)
 	}
 	b = append(b, '\n')
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, dup := c.index[key]; dup {
+		return nil
+	}
 	if _, err := c.f.Write(b); err != nil {
 		return fmt.Errorf("exp: appending cache entry: %w", err)
 	}
+	c.index[key] = span{len(c.slab), len(b) - 1}
+	c.slab = append(c.slab, b...)
 	return nil
 }
 
@@ -252,12 +316,11 @@ func (c *FileCache) Compact() (dropped int, err error) {
 		tmp.Close()
 		return 0, fmt.Errorf("exp: compact chmod: %w", err)
 	}
-	w := bufio.NewWriter(tmp)
+	var out []byte
 	for _, key := range order {
-		w.Write(latest[key])
-		w.WriteByte('\n')
+		out = append(append(out, latest[key]...), '\n')
 	}
-	if err := w.Flush(); err != nil {
+	if _, err := tmp.Write(out); err != nil {
 		tmp.Close()
 		return 0, fmt.Errorf("exp: compact write: %w", err)
 	}
@@ -279,17 +342,25 @@ func (c *FileCache) Compact() (dropped int, err error) {
 	} else {
 		c.f = tmp
 	}
+	c.mu.Lock()
+	c.slab, c.index = out, indexLines(out)
+	c.mu.Unlock()
 	return lines - len(order), nil
 }
 
-// Len returns the number of cached results.
-func (c *FileCache) Len() int { return c.mem.Len() }
+// Len returns the number of cached results. A line that kept its frame
+// but not its body counts until the Lookup that finds it out.
+func (c *FileCache) Len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.index)
+}
 
 // Hits returns the number of successful Lookups so far.
-func (c *FileCache) Hits() int { return c.mem.Hits() }
+func (c *FileCache) Hits() int { return int(c.hits.Load()) }
 
 // Misses returns the number of failed Lookups so far.
-func (c *FileCache) Misses() int { return c.mem.Misses() }
+func (c *FileCache) Misses() int { return int(c.misses.Load()) }
 
 // Close closes the backing file. Entries are durable as soon as Store
 // returns; Close only releases the descriptor.

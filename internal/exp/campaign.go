@@ -155,6 +155,11 @@ type cell struct {
 	base     core.Scenario
 }
 
+// gridSize is the number of grid points (cells) the campaign expands to.
+func (c Campaign) gridSize() int {
+	return len(c.Topologies) * len(c.Nodes) * len(c.Traffics) * len(c.FlitRates)
+}
+
 // cells expands the campaign's grid (without replications) in
 // deterministic enumeration order: topology, then nodes, then traffic,
 // then rate.
@@ -172,7 +177,7 @@ func (c Campaign) cells() ([]cell, error) {
 	if len(c.FlitRates) == 0 {
 		return nil, fmt.Errorf("exp: campaign without injection rates")
 	}
-	cells := make([]cell, 0, len(c.Topologies)*len(c.Nodes)*len(c.Traffics)*len(c.FlitRates))
+	cells := make([]cell, 0, c.gridSize())
 	for _, topo := range c.Topologies {
 		for _, n := range c.Nodes {
 			for _, spec := range c.Traffics {
@@ -215,6 +220,10 @@ func (c Campaign) Points() ([]Point, error) {
 // later expansion with a larger reps(g) reproduces the earlier
 // replications bit for bit and merely extends the tail — adaptive
 // rounds never reseed completed work.
+//
+// Replications of a cell differ only in their seed, which no validity
+// rule reads, so each cell is validated once, through its first emitted
+// point.
 func (c Campaign) pointsN(reps, skip func(grid int) int) ([]Point, error) {
 	cd := c.withDefaults()
 	cells, err := c.cells()
@@ -222,7 +231,7 @@ func (c Campaign) pointsN(reps, skip func(grid int) int) ([]Point, error) {
 		return nil, err
 	}
 	master := sim.NewRNG(cd.Seed)
-	var pts []Point
+	pts := make([]Point, 0, len(cells)*cd.Reps)
 	for _, cl := range cells {
 		n := cd.Reps
 		if reps != nil {
@@ -235,6 +244,7 @@ func (c Campaign) pointsN(reps, skip func(grid int) int) ([]Point, error) {
 			from = skip(cl.grid)
 		}
 		stream := master.Split()
+		traffic := cl.spec.Name()
 		s := cl.base
 		for rep := 0; rep < n; rep++ {
 			s.Seed = stream.Uint64()
@@ -247,15 +257,15 @@ func (c Campaign) pointsN(reps, skip func(grid int) int) ([]Point, error) {
 				Rep:       rep,
 				Topo:      cl.topo,
 				Nodes:     cl.nodes,
-				Traffic:   cl.spec.Name(),
+				Traffic:   traffic,
 				FlitRate:  cl.flitRate,
 				Scenario:  s,
 			})
-		}
-	}
-	for i := range pts {
-		if err := pts[i].Scenario.Validate(); err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", pts[i].ID(), err)
+			if rep == from {
+				if err := s.Validate(); err != nil {
+					return nil, fmt.Errorf("exp: %s: %w", pts[len(pts)-1].ID(), err)
+				}
+			}
 		}
 	}
 	return pts, nil

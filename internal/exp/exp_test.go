@@ -298,6 +298,52 @@ func TestCampaignValidation(t *testing.T) {
 	}
 }
 
+// Cells are validated once, through their first emitted replication —
+// and that replication is still the one the error names: the first
+// point of the first invalid cell, in enumeration order.
+func TestCampaignValidationNamesFirstOffender(t *testing.T) {
+	c := testCampaign()
+	c.Nodes = []int{8, 7} // spidergon-7 is the only invalid geometry (odd)
+	_, err := c.Points()
+	if want := "exp: spidergon-7/uniform@0.05#0: "; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("Points() error %v, want prefix %q", err, want)
+	}
+	// An extension round starts at the first replication it adds.
+	_, err = c.pointsN(func(int) int { return 5 }, func(int) int { return 3 })
+	if want := "exp: spidergon-7/uniform@0.05#3: "; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("pointsN() error %v, want prefix %q", err, want)
+	}
+	// Validity rules that read the rate see every cell, not one per curve.
+	c = testCampaign()
+	c.FlitRates = []float64{0.05, -0.2}
+	_, err = c.Points()
+	if want := "exp: ring-8/uniform@-0.2#0: "; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("Points() error %v, want prefix %q", err, want)
+	}
+}
+
+// Expansion cost is per point, not per point times topology: growing
+// the fabric or the replication count adds no allocations (the point
+// slice is one allocation either way; validation no longer builds a
+// graph per replication).
+func TestExpansionAllocsIndependentOfSizeAndReps(t *testing.T) {
+	allocs := func(nodes, reps int) float64 {
+		c := testCampaign()
+		c.Topologies = []core.TopologyKind{core.Ring, core.Spidergon, core.Mesh}
+		c.Nodes = []int{nodes}
+		c.Reps = reps
+		return testing.AllocsPerRun(5, func() {
+			if _, err := c.Points(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := allocs(8, 2)
+	if big := allocs(64, 20); big > small+2 {
+		t.Fatalf("expanding 64-node cells x 20 reps costs %.0f allocations, 8-node cells x 2 reps %.0f", big, small)
+	}
+}
+
 // The runner's progress callback counts every run exactly once, in
 // order.
 func TestRunnerProgress(t *testing.T) {

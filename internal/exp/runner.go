@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -182,16 +183,13 @@ func (r Runner) RunAll(ctx context.Context, cs []Campaign, sinks ...Sink) ([]Agg
 	var tasks []task
 	var groups []gridGroup
 	for _, c := range cs {
-		cells, err := c.cells()
-		if err != nil {
-			return nil, err
-		}
 		pts, err := c.Points()
 		if err != nil {
 			return nil, err
 		}
-		g := st.addGroup(c, len(cells))
+		g := st.addGroup(c, c.gridSize())
 		groups = append(groups, g)
+		tasks = slices.Grow(tasks, len(pts))
 		for _, p := range pts {
 			p.GridIndex += g.base
 			p.Index = len(tasks)
@@ -270,11 +268,6 @@ func (st *runState) runBatch(batch []task) error {
 		return st.ctx.Err()
 	}
 	r := st.r
-	if r.Cache != nil {
-		for i := range batch {
-			batch[i].key = batch[i].pt.Scenario.CacheKey()
-		}
-	}
 	return pool.Ordered(st.ctx, len(batch), r.workerBudget(),
 		func(_ context.Context, i int) error {
 			t := &batch[i]
@@ -286,6 +279,7 @@ func (st *runState) runBatch(batch []task) error {
 				t.pt.Scenario.StepParallel = r.StepShards
 			}
 			if r.Cache != nil {
+				t.key = t.pt.Scenario.CacheKey()
 				if res, ok := r.Cache.Lookup(t.key); ok {
 					t.res, t.cached = res, true
 					return nil

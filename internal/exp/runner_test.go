@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -493,13 +492,7 @@ func TestRefineIteratesPastOnePass(t *testing.T) {
 func TestFileCacheCompact(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "results.jsonl")
-	mk := func(key string, tput float64) string {
-		b, err := json.Marshal(encodeEntry(key, core.Result{Throughput: tput}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
+	mk := func(key string, tput float64) string { return entryLine(t, key, tput) }
 	lines := []string{
 		mk("a", 1),
 		mk("b", 2),

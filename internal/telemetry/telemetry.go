@@ -82,8 +82,9 @@ type Recorder struct {
 	spec Spec
 	m    int // series per row
 
-	ring  []uint64 // m * chunkLen, row-major
-	count int      // rows currently buffered
+	ring   []uint64 // m series of stride words each, series-major
+	stride int      // words between consecutive series: ChunkLen + padding
+	count  int      // rows currently buffered
 
 	enc  []byte   // chunk payload scratch, cap = worst case
 	head [10]byte // frame-length scratch
@@ -98,15 +99,29 @@ type Recorder struct {
 // (use DefaultChunkLen). All buffers are allocated here; no later call
 // allocates.
 func NewRecorder(spec Spec) (*Recorder, error) {
+	return newRecorder(spec, ringPad)
+}
+
+// ringPad is the padding, in words, between consecutive series of the
+// ring. Append stores one word into every series, and with the default
+// ChunkLen an unpadded stride is exactly 4 KiB: all of a row's stores
+// would land in one cache set and evict each other (a mesh-8x8 row is
+// 417 stores). One cache line of padding walks them across the sets.
+// The padding is buffer layout only; the encoded stream cannot see it.
+const ringPad = 8
+
+func newRecorder(spec Spec, pad int) (*Recorder, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	m := spec.Series()
+	stride := spec.ChunkLen + pad
 	r := &Recorder{
-		spec: spec,
-		m:    m,
-		ring: make([]uint64, m*spec.ChunkLen),
-		row:  make([]uint64, m),
+		spec:   spec,
+		m:      m,
+		ring:   make([]uint64, m*stride),
+		stride: stride,
+		row:    make([]uint64, m),
 	}
 	// Worst case per series: 10-byte absolute plus 11 bytes per delta
 	// (a lone zero delta costs a 1-byte token and a 10-byte run
@@ -175,16 +190,15 @@ func (r *Recorder) Append(row []uint64) {
 		r.err = fmt.Errorf("telemetry: row has %d values, spec has %d series", len(row), r.m)
 		return
 	}
-	// Ring is column-major (series-major): ring[s*chunkLen+i] is
+	// Ring is column-major (series-major): ring[s*stride+i] is
 	// series s at buffered sample i, so encoding walks each series
 	// contiguously.
-	cl := r.spec.ChunkLen
 	for s, v := range row {
-		r.ring[s*cl+r.count] = v
+		r.ring[s*r.stride+r.count] = v
 	}
 	r.count++
 	r.stats.Samples++
-	if r.count == cl {
+	if r.count == r.spec.ChunkLen {
 		r.flushChunk()
 	}
 }
@@ -211,10 +225,9 @@ func (r *Recorder) flushChunk() {
 		r.err = errors.New("telemetry: Sample before Start")
 		return
 	}
-	cl := r.spec.ChunkLen
 	enc := binary.AppendUvarint(r.enc[:0], uint64(r.count))
 	for s := 0; s < r.m; s++ {
-		col := r.ring[s*cl : s*cl+r.count]
+		col := r.ring[s*r.stride : s*r.stride+r.count]
 		enc = binary.AppendUvarint(enc, col[0])
 		zeros := uint64(0)
 		for i := 1; i < len(col); i++ {

@@ -226,3 +226,36 @@ func TestRecorderDoesNotAllocateSteadyState(t *testing.T) {
 		t.Fatalf("Sample allocates %v per call", allocs)
 	}
 }
+
+// The ring's series stride is buffer layout only: recorders padded
+// differently encode the same rows to the same bytes, across partial,
+// exact and wrapping chunks.
+func TestRingStrideDoesNotChangeStream(t *testing.T) {
+	spec := Spec{Nodes: 5, Links: 7, ChunkLen: 16}
+	for _, n := range []int{1, 16, 17, 161} {
+		rows := randomRows(spec, n, int64(n))
+		var streams [][]byte
+		for _, pad := range []int{0, 3, ringPad} {
+			r, err := newRecorder(spec, pad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := r.Start(&buf); err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range rows {
+				r.Append(row)
+			}
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			streams = append(streams, buf.Bytes())
+		}
+		for i := 1; i < len(streams); i++ {
+			if !bytes.Equal(streams[0], streams[i]) {
+				t.Fatalf("n=%d: stride padding changed the encoded stream", n)
+			}
+		}
+	}
+}
