@@ -91,19 +91,21 @@ bench-ab:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab BASE=<ref> WORKLOAD=<name> [PAIRS=10] [METRIC=sim_cycles_per_s]" >&2; exit 2; }
 	bash tools/bench-ab.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(METRIC)"
 
-# golden-gogcoff re-runs the cross-engine golden matrix's knee points
-# (every topology and switching mode at the near-saturation load) with
-# the garbage collector disabled. The handle-based arena keeps freed
-# packet records reachable from live slices, so a use-after-recycle
-# that GC timing might otherwise mask (or crash on) instead shows up
-# as an engine divergence here, where nothing is ever collected or
-# moved for the whole run.
+# golden-gogcoff re-runs the golden matrix's knee points (every
+# topology and switching mode at the near-saturation load) with the
+# garbage collector disabled. The handle-based arena keeps freed packet
+# records reachable from live slices, so a use-after-recycle that GC
+# timing might otherwise mask (or crash on) instead shows up here as a
+# result whose digest differs from the frozen reference in
+# internal/core/testdata/reference-golden.json, with nothing collected
+# or moved for the whole run.
 golden-gogcoff:
 	GOGC=off $(GO) test -count=1 -run 'TestGoldenCrossEngineMatrix/.*/knee' ./internal/core/
 
 # race-parallel runs the parallel-engine golden/fuzz suites under the
 # race detector with their bounded cycle counts — the determinism AND
-# memory-model proof of the domain-decomposed Step. The Credit pattern
+# memory-model proof of the domain-decomposed Step (its warm-workspace
+# test also checks the frozen reference digest). The Credit pattern
 # picks up the credit-snapshot fuzz seeds and the zero-credit storm
 # alongside the Parallel-named goldens.
 race-parallel:

@@ -279,28 +279,24 @@ func engineScenario(frac float64) core.Scenario {
 	return s
 }
 
-// BenchmarkEngineMesh8x8 compares the activity-driven engine (with its
-// idle fast-forward) against the reference sweep engine on the paper's
-// largest mesh, below saturation and past it. The low-load ratio is
-// the headline number of the activity-driven refactor; the saturated
-// pair guards against a regression when every router is busy.
+// BenchmarkEngineMesh8x8 times the activity-driven engine (with its
+// idle fast-forward) on the paper's largest mesh, below saturation and
+// past it: the low-load points show what worklists and fast-forward
+// save, the saturated point guards the cost when every router is busy.
 func BenchmarkEngineMesh8x8(b *testing.B) {
 	loads := []struct {
 		name string
 		frac float64
 	}{{"low15", 0.15}, {"low25", 0.25}, {"saturated", 1.5}}
 	for _, load := range loads {
-		for _, eng := range []noc.Engine{noc.EngineActive, noc.EngineSweep} {
-			s := engineScenario(load.frac)
-			s.Engine = eng
-			b.Run(load.name+"/"+eng.String(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Run(s); err != nil {
-						b.Fatal(err)
-					}
+		s := engineScenario(load.frac)
+		b.Run(load.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Run(s); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -386,19 +382,16 @@ func BenchmarkPerfGate(b *testing.B) {
 				// The fused engine's synchronization budget, normalized
 				// by ticked (non-fast-forwarded) cycles: exactly one
 				// barrier per multi-shard cycle without an OnEject
-				// callback, and a replay-visits count gated at zero —
-				// the credit discipline resolves every boundary link
-				// decision inside the pass (speculatively on a cycle-
-				// start credit, or via a point-to-point pops-done wait
-				// on credit exhaustion), so any nonzero replay count is
-				// a reintroduced serial section. The credit split
-				// itself (speculative deliveries vs zero-credit defers
-				// per cycle) is reported and gated too: all are
+				// callback. The credit discipline resolves every
+				// boundary link decision inside the pass (speculatively
+				// on a cycle-start credit, or via a point-to-point
+				// pops-done wait on credit exhaustion); the credit split
+				// (speculative deliveries vs zero-credit defers per
+				// cycle) is reported and gated too: all are
 				// deterministic work counters, so the gate pins them
 				// where wall-clock speedup would be host noise.
 				ticked := cycles - float64(perf.SkippedCycles)
 				b.ReportMetric(float64(perf.Barriers)/ticked, "barriers/cycle")
-				b.ReportMetric(float64(perf.SerialReplayVisits)/ticked, "replay-visits/cycle")
 				b.ReportMetric(float64(perf.SpeculativeDeliveries)/ticked, "spec-deliveries/cycle")
 				b.ReportMetric(float64(perf.CreditDefers)/ticked, "credit-defers/cycle")
 			}
@@ -552,12 +545,17 @@ func BenchmarkNetworkStep(b *testing.B) {
 	}
 }
 
+// nopHandler is the event target of BenchmarkKernelSchedule.
+type nopHandler struct{}
+
+func (nopHandler) Fire(int) {}
+
 // BenchmarkKernelSchedule measures event scheduling + dispatch.
 func BenchmarkKernelSchedule(b *testing.B) {
 	k := sim.NewKernel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.ScheduleAfter(1, func() {})
+		k.ScheduleEvent(k.Now()+1, 0, nopHandler{}, 0)
 		k.Step()
 	}
 }

@@ -26,11 +26,13 @@
 // domain-decomposed parallel engine (noc.EngineParallel, exposed as
 // -step-parallel and exp.Runner.StepShards) additionally runs each
 // Step's phases across contiguous router shards with deterministic
-// barriers, so a lone saturation point can use the whole machine. The
-// original scan-everything engine is retained (noc.EngineSweep) and
-// golden cross-engine tests prove engines (parallel included, at every
-// shard count), pooling modes and workspace reuse all produce
-// bit-identical Results; a tracked perf gate
+// barriers, so a lone saturation point can use the whole machine. Each
+// layer ships one production path: the references these optimisations
+// replaced (a scan-everything engine, unpooled packets, one kernel
+// event per arrival) survive only as frozen digests under testdata/,
+// and the golden tests hold both engines (the parallel one at every
+// shard count) and workspace reuse to them bit for bit; a tracked perf
+// gate
 // (bench-baseline.json + cmd/benchgate, `make bench-check`) fails CI
 // when deterministic work counters or steady-state allocs/packet
 // regress beyond tolerance. The experiment stack:

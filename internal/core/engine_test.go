@@ -1,70 +1,34 @@
 package core
 
 import (
-	"bytes"
-	"reflect"
+	"fmt"
 	"testing"
 
 	"gonoc/internal/noc"
 	"gonoc/internal/sim"
 )
 
-// runBothEngines executes s under the activity-driven engine (with its
-// idle fast-forward) and under the reference sweep engine — each with
-// the packet pool enabled and disabled — and fails the test unless all
-// four Results are bit-identical — struct equality and serialized JSON
-// both. Engine and pooling are the two knobs documented as
-// result-neutral; this helper is the proof backing that claim for
-// every golden and randomized scenario.
-func runBothEngines(t *testing.T, s Scenario) Result {
+// runGolden executes s on the production path — the activity-driven
+// engine with its idle fast-forward, and the packet pool — and checks
+// the result against the digest the retired sweep engine recorded with
+// pooling off. Engine and pooling were the two knobs documented as
+// result-neutral; the frozen digests keep that proof for every golden
+// and randomized scenario.
+func runGolden(t *testing.T, name string, s Scenario) Result {
 	t.Helper()
-	s.Engine = noc.EngineActive
-	s.NoPool = false
-	got, err := Run(s)
+	r, err := Run(s)
 	if err != nil {
-		t.Fatalf("%s [active]: %v", s.Label(), err)
+		t.Fatalf("%s: %v", s.Label(), err)
 	}
-	for _, v := range []struct {
-		name   string
-		engine noc.Engine
-		noPool bool
-	}{
-		{"sweep", noc.EngineSweep, false},
-		{"active/no-pool", noc.EngineActive, true},
-		{"sweep/no-pool", noc.EngineSweep, true},
-	} {
-		s.Engine = v.engine
-		s.NoPool = v.noPool
-		want, err := Run(s)
-		if err != nil {
-			t.Fatalf("%s [%s]: %v", s.Label(), v.name, err)
-		}
-		// The engine/pooling choice itself is the only permitted
-		// difference.
-		want.Scenario.Engine = got.Scenario.Engine
-		want.Scenario.NoPool = got.Scenario.NoPool
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: %s disagrees with active/pooled:\nactive: %+v\nother:  %+v", s.Label(), v.name, got, want)
-		}
-		var ga, gs bytes.Buffer
-		if err := WriteResultJSON(&ga, got); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteResultJSON(&gs, want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ga.Bytes(), gs.Bytes()) {
-			t.Fatalf("%s: serialized results differ for %s", s.Label(), v.name)
-		}
-	}
-	return got
+	checkResult(t, name, r)
+	return r
 }
 
 // The golden cross-engine matrix: the paper's three topologies at a
 // load below the knee, at the knee, and past saturation, under both
-// wormhole and virtual cut-through. Run output — every field of
-// Result, hence every figure the exp stack derives from it — must be
-// unchanged by the activity-driven refactor.
+// wormhole and virtual cut-through. Run output — every serialized field
+// of Result, hence every figure the exp stack derives from it — must
+// match what the reference engine produced.
 func TestGoldenCrossEngineMatrix(t *testing.T) {
 	type load struct {
 		name   string
@@ -85,7 +49,7 @@ func TestGoldenCrossEngineMatrix(t *testing.T) {
 					s.Config.OutBufCap = s.Config.PacketLen
 				}
 				t.Run(string(topo)+"/"+ld.name+"/"+sw.String(), func(t *testing.T) {
-					r := runBothEngines(t, s)
+					r := runGolden(t, t.Name(), s)
 					if ld.name != "low" && r.EjectedPackets == 0 {
 						t.Fatal("degenerate run: nothing ejected")
 					}
@@ -97,12 +61,13 @@ func TestGoldenCrossEngineMatrix(t *testing.T) {
 	hs := NewScenario(Spidergon, 16, HotSpotTraffic, 0.03)
 	hs.HotSpots = []int{5}
 	hs.Warmup, hs.Measure = 200, 1500
-	t.Run("spidergon/hotspot", func(t *testing.T) { runBothEngines(t, hs) })
+	t.Run("spidergon/hotspot", func(t *testing.T) { runGolden(t, t.Name(), hs) })
 }
 
 // Fuzz-style scenario equivalence: random draws over the full scenario
 // space (topology family, node count, traffic, switching, interface
-// rates, arrival process) must keep the engines bit-identical.
+// rates, arrival process) must keep the engine bit-identical to the
+// frozen reference.
 func TestGoldenCrossEngineRandomScenarios(t *testing.T) {
 	rng := sim.NewRNG(2026)
 	topos := []TopologyKind{Ring, Spidergon, Mesh, Torus}
@@ -127,7 +92,7 @@ func TestGoldenCrossEngineRandomScenarios(t *testing.T) {
 		s.Warmup = 100 + 50*rng.Uint64()%200
 		s.Measure = 500 + rng.Uint64()%1000
 		s.Seed = rng.Uint64()
-		runBothEngines(t, s)
+		runGolden(t, fmt.Sprintf("%s/trial-%d", t.Name(), trial), s)
 	}
 }
 

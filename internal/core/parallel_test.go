@@ -20,8 +20,8 @@ var matrixShardCounts = []int{1, 2, 3, 4, 7, 13, -1}
 // runParallelShards executes s under the activity-driven engine and
 // under the domain-decomposed engine at every matrix shard count, and
 // fails unless all Results are bit-identical — struct equality and
-// serialized JSON both. StepParallel is the third knob documented as
-// result-neutral (after Engine and NoPool); this helper is the proof.
+// serialized JSON both. StepParallel is documented as result-neutral;
+// this helper is the proof.
 func runParallelShards(t *testing.T, s Scenario) Result {
 	t.Helper()
 	s.Engine = noc.EngineActive
@@ -160,6 +160,7 @@ func TestParallelWorkspaceReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkResult(t, t.Name(), fresh)
 	var ws Workspace
 	for rep := 0; rep < 3; rep++ {
 		got, err := ws.Run(s)
@@ -183,20 +184,16 @@ func TestParallelWorkspaceReuse(t *testing.T) {
 			t.Fatalf("shards=%d diverged on a warm workspace", k)
 		}
 	}
-	// Nor must switching back to the serial engines on the same
-	// workspace (the network re-enrolls its worklists either way).
-	for _, eng := range []noc.Engine{noc.EngineActive, noc.EngineSweep} {
-		s.StepParallel = 0
-		s.Engine = eng
-		got, err := ws.Run(s)
-		if err != nil {
-			t.Fatalf("%v after parallel: %v", eng, err)
-		}
-		got.Scenario.StepParallel = fresh.Scenario.StepParallel
-		got.Scenario.Engine = fresh.Scenario.Engine
-		if !reflect.DeepEqual(fresh, got) {
-			t.Fatalf("%v after parallel diverged on a warm workspace", eng)
-		}
+	// Nor must switching back to the serial engine on the same
+	// workspace (the network re-enrolls its worklists).
+	s.StepParallel = 0
+	got, err := ws.Run(s)
+	if err != nil {
+		t.Fatalf("serial after parallel: %v", err)
+	}
+	got.Scenario.StepParallel = fresh.Scenario.StepParallel
+	if !reflect.DeepEqual(fresh, got) {
+		t.Fatal("serial after parallel diverged on a warm workspace")
 	}
 }
 
@@ -207,7 +204,7 @@ func TestStepParallelExcludedFromCacheKey(t *testing.T) {
 	a := NewScenario(Mesh, 16, UniformTraffic, 0.05)
 	b := a
 	b.StepParallel = 7
-	b.Engine = noc.EngineSweep
+	b.Engine = noc.EngineParallel
 	if a.CacheKey() != b.CacheKey() {
 		t.Fatal("StepParallel/Engine changed the scenario cache key")
 	}

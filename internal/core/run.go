@@ -151,7 +151,6 @@ func (w *Workspace) RunPerf(s Scenario) (Result, noc.PerfStats, error) {
 	// reusing.
 	w.key = ""
 	net, col, kernel := w.net, w.col, w.kernel
-	net.SetPooling(!s.NoPool)
 	gen, err := traffic.RenewGenerator(w.gen, kernel, net, pattern, s.Process, s.Lambda, s.Seed)
 	if err != nil {
 		return Result{}, noc.PerfStats{}, err
@@ -209,37 +208,33 @@ func (w *Workspace) RunPerf(s Scenario) (Result, noc.PerfStats, error) {
 		})
 	}
 	total := sim.Time(s.Warmup + s.Measure)
-	if eng := net.Engine(); eng == noc.EngineActive || eng == noc.EngineParallel {
-		// Idle fast-forward: when the network is fully quiescent, the
-		// next flit movement can only follow the next generator event,
-		// so the cycles up to the tick that first observes it are
-		// no-ops — skip them instead of paying one kernel event each.
-		// The reference engine deliberately keeps the plain 1-cycle
-		// ticker so the golden tests compare against seed behaviour.
-		ticker.OnPace(func(_ uint64, next sim.Time) sim.Time {
-			if !net.Quiescent() {
-				return next
-			}
-			arrival := kernel.NextEventTime()
-			if arrival <= next {
-				return next
-			}
-			// An event at time t (integer or fractional) is first seen
-			// by the tick at ceil(t): same-time ordinary events run
-			// before the tick (TickPriority).
-			wake := sim.Time(math.Ceil(float64(arrival)))
-			if wake > total+1 {
-				wake = total + 1 // nothing left inside the horizon
-			}
-			net.SkipTo(uint64(wake))
-			return wake
-		})
-	}
+	// Idle fast-forward: when the network is fully quiescent, the next
+	// flit movement can only follow the next generator event, so the
+	// cycles up to the tick that first observes it are no-ops — skip
+	// them instead of paying one kernel event each.
+	ticker.OnPace(func(_ uint64, next sim.Time) sim.Time {
+		if !net.Quiescent() {
+			return next
+		}
+		arrival := kernel.NextEventTime()
+		if arrival <= next {
+			return next
+		}
+		// An event at time t (integer or fractional) is first seen by
+		// the tick at ceil(t): same-time ordinary events run before the
+		// tick (TickPriority).
+		wake := sim.Time(math.Ceil(float64(arrival)))
+		if wake > total+1 {
+			wake = total + 1 // nothing left inside the horizon
+		}
+		net.SkipTo(uint64(wake))
+		return wake
+	})
 	ticker.Start()
 	kernel.RunUntil(total)
 	// A run that fast-forwarded past the horizon stops short of the
 	// final cycle count; align it so cycle-normalized observables
-	// (link utilisation) match the reference engine exactly.
+	// (link utilisation) match a run that ticked every cycle.
 	net.SkipTo(uint64(total) + 1)
 	if rec != nil {
 		if err := rec.Flush(); err != nil {

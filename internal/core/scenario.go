@@ -84,30 +84,22 @@ type Scenario struct {
 	// Config is the node geometry (buffers, packet length, port rates).
 	Config noc.Config
 
-	// Engine selects the Step implementation: the default
-	// activity-driven engine or the reference sweep engine. The two are
-	// result-equivalent bit for bit (proven by the cross-engine golden
-	// tests), so Engine is excluded from the cache key and from the
-	// serialized scenario — it changes how fast a result is computed,
-	// never what it is.
+	// Engine selects the Step implementation when StepParallel is zero:
+	// the default activity-driven engine or the domain-decomposed
+	// parallel one. The engines are result-equivalent bit for bit
+	// (proven by the golden tests), so Engine is excluded from the cache
+	// key and from the serialized scenario — it changes how fast a
+	// result is computed, never what it is.
 	Engine noc.Engine `json:"-"`
-
-	// NoPool disables the network's packet/flit freelist for this run.
-	// Like Engine it is excluded from the cache key and serialization:
-	// pooled and unpooled runs are result-equivalent bit for bit (proven
-	// by the golden pool-on/pool-off tests), the toggle only changes
-	// allocator traffic. It exists for those golden tests and as a
-	// debugging fallback.
-	NoPool bool `json:"-"`
 
 	// StepParallel, when positive, runs Network.Step domain-decomposed
 	// across that many router shards (noc.EngineParallel), overriding
 	// Engine; when negative, the shard count is chosen automatically
 	// (min(GOMAXPROCS, routers/4), collapsing to the serial engine when
-	// that is 1). Zero keeps the configured serial engine — campaigns
+	// that is 1). Zero keeps the configured engine — campaigns
 	// default to spending the machine on scenario-level parallelism.
 	// Like Engine it is excluded from the cache key and the serialized
-	// scenario: the parallel engine is bit-identical to the serial ones
+	// scenario: the parallel engine is bit-identical to the serial one
 	// at every shard count (proven by the golden parallel matrix), so
 	// the knob changes wall-clock time, never results. Use it for lone
 	// long-running points — near and past saturation — where

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -51,26 +52,17 @@ func TestWorkspaceMatchesFreshRuns(t *testing.T) {
 	}
 }
 
-// Workspace reuse must also hold under the sweep engine, with pooling
-// off, and for Bernoulli arrivals — the non-default paths.
+// Workspace reuse must also hold for Bernoulli arrivals and virtual
+// cut-through — the non-default paths — and every variant must match
+// the frozen reference.
 func TestWorkspaceMatchesFreshRunsVariants(t *testing.T) {
 	base := NewScenario(Ring, 12, UniformTraffic, 0.04)
 	base.Warmup, base.Measure = 150, 1200
 
-	variants := make([]Scenario, 0, 4)
-	s := base
-	s.Engine = noc.EngineSweep
-	variants = append(variants, s)
-	s = base
-	s.NoPool = true
-	variants = append(variants, s)
-	s = base
-	s.Process = 1 // Bernoulli
-	variants = append(variants, s)
-	s = base
-	s.Config.Switching = noc.VirtualCutThrough
-	s.Config.OutBufCap = s.Config.PacketLen
-	variants = append(variants, s)
+	variants := []Scenario{base, base, base}
+	variants[1].Process = 1 // Bernoulli
+	variants[2].Config.Switching = noc.VirtualCutThrough
+	variants[2].Config.OutBufCap = base.Config.PacketLen
 
 	var ws Workspace
 	for round := 0; round < 2; round++ { // second round hits the reuse path
@@ -86,6 +78,7 @@ func TestWorkspaceMatchesFreshRunsVariants(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d variant %d (%s): workspace diverged from fresh run", round, i, v.Label())
 			}
+			checkResult(t, fmt.Sprintf("%s/variant-%d", t.Name(), i), got)
 		}
 	}
 }
@@ -115,12 +108,10 @@ func TestWorkspaceReusesNetworkAcrossReplications(t *testing.T) {
 	}
 }
 
-// Fuzz-style reuse sequences: random walks over rate, seed, engine,
-// shard count and pooling — replayed on one workspace — must stay bit
-// for bit equal to fresh runs. The pooling flips are the packet
-// arena's hardest reuse transition (Reset must truncate the record
-// population when pooling is off and retain it when on), and the
-// engine/shard flips exercise worklist rebuilds over a recycled arena.
+// Fuzz-style reuse sequences: random walks over rate, seed, engine and
+// shard count — replayed on one workspace — must stay bit for bit equal
+// to fresh runs and to the frozen reference. The engine/shard flips
+// exercise worklist rebuilds over a recycled arena.
 func TestWorkspaceReuseRandomizedSequences(t *testing.T) {
 	master := sim.NewRNG(1234)
 	for trial := 0; trial < 4; trial++ {
@@ -130,11 +121,7 @@ func TestWorkspaceReuseRandomizedSequences(t *testing.T) {
 			s := NewScenario(Spidergon, 16, UniformTraffic, 0.01+0.08*rng.Float64())
 			s.Warmup, s.Measure = 100, uint64(400+rng.Intn(800))
 			s.Seed = rng.Uint64()
-			s.NoPool = rng.Bernoulli(0.4)
-			switch rng.Intn(4) {
-			case 0:
-				s.Engine = noc.EngineSweep
-			case 1:
+			if rng.Bernoulli(0.5) {
 				s.StepParallel = 1 + rng.Intn(4)
 			}
 			got, err := ws.Run(s)
@@ -148,6 +135,7 @@ func TestWorkspaceReuseRandomizedSequences(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d step %d %s: workspace diverged from fresh run", trial, step, s.Label())
 			}
+			checkResult(t, fmt.Sprintf("%s/trial-%d/step-%d", t.Name(), trial, step), got)
 		}
 	}
 }
@@ -156,13 +144,14 @@ func TestWorkspaceReuseRandomizedSequences(t *testing.T) {
 // saturated run A leaves flits — and their stamps — in the buffers when
 // it stops; run B on the same workspace then counts its cycles up
 // through every value those stamps hold. B must come out byte for byte
-// as on a fresh workspace, under every engine.
+// as on a fresh workspace, under every engine, and as the frozen
+// reference.
 func TestWorkspaceReuseAfterLoadedRunIsByteIdentical(t *testing.T) {
 	a := NewScenario(Mesh, 16, UniformTraffic, 0.3) // far past saturation
 	a.Warmup, a.Measure = 50, 350
 	b := NewScenario(Mesh, 16, UniformTraffic, 0.06)
 	b.Warmup, b.Measure, b.Seed = 100, 900, 9
-	for _, eng := range []noc.Engine{noc.EngineActive, noc.EngineSweep, noc.EngineParallel} {
+	for _, eng := range []noc.Engine{noc.EngineActive, noc.EngineParallel} {
 		a.Engine, b.Engine = eng, eng
 		var ws Workspace
 		resA, err := ws.Run(a)
@@ -190,5 +179,6 @@ func TestWorkspaceReuseAfterLoadedRunIsByteIdentical(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("%v: B after A differs from B on a fresh workspace:\nreused: %s\nfresh:  %s", eng, got.Bytes(), want.Bytes())
 		}
+		checkResult(t, t.Name(), reused)
 	}
 }

@@ -45,6 +45,15 @@ func (e *CoverageError) Error() string {
 	return "exp: shard coverage: " + strings.Join(parts, "; ")
 }
 
+// unindexedError rejects a run record without the index field — a
+// stream written before shards carried run indexes, whose coverage a
+// merge cannot prove. It names the input (by position) and the line.
+type unindexedError struct{ input, line int }
+
+func (e *unindexedError) Error() string {
+	return fmt.Sprintf("exp: merge input %d line %d: run record has no index field; re-run the shard with the current nocsweep", e.input, e.line)
+}
+
 func formatRanges(rs []IndexRange) string {
 	ss := make([]string, len(rs))
 	for i, r := range rs {
@@ -73,13 +82,8 @@ type StreamMerger struct {
 	inputs int
 
 	// Coverage bookkeeping: how often each global run index appeared.
-	// Streams written before the index field existed decode nil and
-	// are counted as legacy; validation is skipped for purely legacy
-	// input (nothing to validate against) but a mix is rejected.
-	counts  map[int]int
-	maxIdx  int
-	indexed int
-	legacy  int
+	counts map[int]int
+	maxIdx int
 }
 
 // NewStreamMerger returns a merger writing merged run records (and, at
@@ -91,7 +95,8 @@ func NewStreamMerger(w io.Writer) *StreamMerger {
 // Add consumes one shard stream: run records are copied to the output
 // verbatim and folded into the aggregates, summary records are
 // dropped. Inputs must arrive in shard order for the merged bytes to
-// reproduce the unsharded file.
+// reproduce the unsharded file. A run record without the index field
+// fails the merge with an error naming the input and the line.
 func (m *StreamMerger) Add(r io.Reader) error {
 	ri := m.inputs
 	m.inputs++
@@ -111,14 +116,12 @@ func (m *StreamMerger) Add(r io.Reader) error {
 		default:
 			return fmt.Errorf("exp: merge input %d line %d: unknown kind %q", ri, line, rec.Kind)
 		}
-		if rec.Index != nil {
-			m.indexed++
-			m.counts[*rec.Index]++
-			if *rec.Index > m.maxIdx {
-				m.maxIdx = *rec.Index
-			}
-		} else {
-			m.legacy++
+		if rec.Index == nil {
+			return &unindexedError{input: ri, line: line}
+		}
+		m.counts[*rec.Index]++
+		if *rec.Index > m.maxIdx {
+			m.maxIdx = *rec.Index
 		}
 		if m.w != nil {
 			// Two writes, not append: sc.Bytes aliases the scanner's
@@ -176,13 +179,10 @@ func (m *StreamMerger) Finish() ([]Aggregate, error) {
 }
 
 // coverage checks that the merged run indexes tile [0, maxIdx] exactly
-// once each.
+// once each; inputs without run records have nothing to tile.
 func (m *StreamMerger) coverage() error {
-	if m.indexed == 0 {
-		return nil // legacy streams carry no indexes; nothing to check
-	}
-	if m.legacy > 0 {
-		return fmt.Errorf("exp: shard coverage: %d record(s) without index field mixed with %d indexed ones; re-run the shards with one nocsweep version", m.legacy, m.indexed)
+	if len(m.counts) == 0 {
+		return nil
 	}
 	var missing, dup []int
 	for i := 0; i <= m.maxIdx; i++ {

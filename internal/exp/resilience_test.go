@@ -67,10 +67,10 @@ func TestMergeDetectsOverlappingShards(t *testing.T) {
 
 var indexField = regexp.MustCompile(`"index":\d+,`)
 
-// Streams written before the index field existed (legacy) still merge:
-// with nothing to validate against, coverage checking is skipped — but
-// mixing legacy and indexed records is rejected, because a partial
-// check would claim more than it proves.
+// Streams written before the index field existed (legacy) are external
+// input whose coverage cannot be proven: the merge rejects them with a
+// typed error naming the input and the line, alone or mixed with
+// indexed streams, before any summary is written.
 func TestMergeLegacyAndMixedStreams(t *testing.T) {
 	c := testCampaign()
 	var shards, legacy [][]byte
@@ -79,16 +79,32 @@ func TestMergeLegacyAndMixedStreams(t *testing.T) {
 		shards = append(shards, s)
 		legacy = append(legacy, indexField.ReplaceAll(s, nil))
 	}
-	aggs, err := MergeRuns(byteReaders(legacy), io.Discard)
-	if err != nil {
-		t.Fatalf("all-legacy merge failed: %v", err)
-	}
-	if len(aggs) != 4 {
-		t.Fatalf("legacy merge produced %d aggregates, want 4", len(aggs))
-	}
-	_, err = MergeRuns(byteReaders([][]byte{legacy[0], shards[1]}), io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "without index") {
-		t.Fatalf("mixed legacy/indexed merge returned %v", err)
+	lines := bytes.SplitAfter(shards[1], []byte("\n"))
+	lines[1] = indexField.ReplaceAll(lines[1], nil)
+	oneBad := bytes.Join(lines, nil)
+	for name, tc := range map[string]struct {
+		inputs      [][]byte
+		input, line int
+	}{
+		"all legacy":           {legacy, 0, 1},
+		"legacy after indexed": {[][]byte{shards[0], legacy[1]}, 1, 1},
+		"one unindexed record": {[][]byte{shards[0], oneBad}, 1, 2},
+	} {
+		var out bytes.Buffer
+		_, err := MergeRuns(byteReaders(tc.inputs), &out)
+		var ue *unindexedError
+		if !errors.As(err, &ue) {
+			t.Fatalf("%s: merge returned %v, want an unindexedError", name, err)
+		}
+		if ue.input != tc.input || ue.line != tc.line {
+			t.Fatalf("%s: error names input %d line %d, want input %d line %d", name, ue.input, ue.line, tc.input, tc.line)
+		}
+		if want := fmt.Sprintf("merge input %d line %d", tc.input, tc.line); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q does not name %q", name, err, want)
+		}
+		if bytes.Contains(out.Bytes(), []byte(`"kind":"summary"`)) {
+			t.Fatalf("%s: a rejected merge wrote summaries", name)
+		}
 	}
 }
 

@@ -57,9 +57,9 @@ func (m MultiSink) Summary(a Aggregate) error {
 // runRecord is the JSONL wire form of one replication. Index is the
 // global campaign enumeration position (Point.Index), carried on the
 // wire so shard-merge coverage validation can prove that a set of
-// shard files tiles the campaign exactly; it is a pointer so streams
-// written before the field existed decode as nil (legacy) rather than
-// as a false position 0.
+// shard files tiles the campaign exactly; it is a pointer so a record
+// without the field (a stream written before it existed) decodes as
+// nil, which the merger rejects, rather than as a false position 0.
 type runRecord struct {
 	Kind     string            `json:"kind"`
 	Index    *int              `json:"index,omitempty"`

@@ -7,23 +7,20 @@ import (
 
 // This file is the activity-driven simulation core: the default engine
 // behind Network.Step. Instead of sweeping every router × port × VC in
-// all four phases each cycle (the reference engine in network.go, kept
-// as EngineSweep for cross-checking), each phase drains an incremental
-// worklist at two granularities: bitmap active sets over nodes select
-// which routers/sources a phase visits at all, and per-router
-// slot-occupancy masks (router.inOcc/ejOcc/outOcc, one bit per strided
-// port × VC slot, see mask.go) select which slots a visit touches —
-// both updated exactly where flits move, so a cycle's cost is
-// proportional to in-flight work, not network size. Determinism is
-// preserved by construction: sets drain in ascending node order (the
-// reference engine's iteration order), ports in the reference rotated
-// order with per-port mask extraction, slots in the reference
-// round-robin order, and the per-cycle round-robin pointers, which the
-// reference engine advances unconditionally once per cycle, are derived
-// from the cycle counter instead of stored, so skipping an idle router
-// (or fast-forwarding whole idle cycles via SkipTo) cannot perturb
-// arbitration. The cross-engine golden tests assert bit-identical
-// Results against EngineSweep for every scenario class.
+// all four phases each cycle, each phase drains an incremental worklist
+// at two granularities: bitmap active sets over nodes select which
+// routers/sources a phase visits at all, and per-router slot-occupancy
+// masks (router.inOcc/ejOcc/outOcc, one bit per strided port × VC slot,
+// see mask.go) select which slots a visit touches — both updated
+// exactly where flits move, so a cycle's cost is proportional to
+// in-flight work, not network size. Arbitration is a pure function of
+// the buffers and the cycle counter: sets drain in ascending node
+// order, and each per-router rotation (the ejection slots, the switch
+// input ports, the link VCs) starts during cycle c at c mod d, d the
+// rotation's length. No rotation pointer is stored, so skipping an idle
+// router (or fast-forwarding whole idle cycles via SkipTo) cannot
+// perturb arbitration. The golden tests hold every scenario class to
+// digests frozen from the scan-everything engine this one replaced.
 
 // Engine selects the implementation behind Network.Step.
 type Engine int
@@ -33,10 +30,6 @@ const (
 	// visit only routers with buffered flits and sources with pending
 	// packets.
 	EngineActive Engine = iota
-	// EngineSweep is the reference engine: every phase scans all
-	// routers. It is retained as the golden oracle for equivalence
-	// tests and as a debugging fallback.
-	EngineSweep
 	// EngineParallel is the domain-decomposed engine (parallel.go): the
 	// routers are split into contiguous shards and each pipeline phase
 	// runs shard-parallel between deterministic barriers, producing
@@ -49,8 +42,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineActive:
 		return "active"
-	case EngineSweep:
-		return "sweep"
 	case EngineParallel:
 		return "parallel"
 	default:
@@ -121,9 +112,7 @@ func (w *worklists) clear() {
 }
 
 // markSource enrolls src in the injection worklist that owns it: the
-// shard's under the parallel engine, the network-wide one otherwise
-// (the sweep engine ignores the sets, so the stray add is harmless and
-// keeps InjectPacket branch-free on the engine).
+// shard's under the parallel engine, the network-wide one otherwise.
 func (n *Network) markSource(src int) {
 	if n.engine == EngineParallel {
 		n.shards[n.shardOf[src]].wl.ni.add(src)
@@ -134,8 +123,7 @@ func (n *Network) markSource(src int) {
 
 // --- worklist maintenance, called wherever the active and parallel
 // engines move a flit, against the worklists that own the touched
-// router (wl). The sweep engine bypasses these (it pops/pushes the
-// buffers directly); SetEngine rebuilds all masks and sets.
+// router (wl); SetEngine rebuilds all masks and sets.
 
 // refreshInSets recomputes node's membership in the ejection and
 // switch worklists from its input-slot masks: the ejection stage wants
@@ -218,9 +206,6 @@ func (n *Network) outPop(wl *worklists, node int, r *router, op *outPort, vc int
 }
 
 // stepActive advances one cycle visiting only active routers/sources.
-// Phase bodies mirror the reference engine (network.go) statement for
-// statement; the only differences are worklist iteration, mask
-// maintenance, and cycle-derived round-robin pointers.
 func (n *Network) stepActive() {
 	n.moved = false
 	n.activeEject()
@@ -242,8 +227,10 @@ func (n *Network) stepActive() {
 	}
 }
 
-// activeEject mirrors ejectPhase over routers holding locally-destined
-// input heads.
+// activeEject consumes up to SinkRate flits per node at the routers
+// holding locally-destined input heads. The paper's destination IP
+// consumes flits in FIFO order through a single ejection port — the
+// bottleneck of the hot-spot scenarios.
 func (n *Network) activeEject() {
 	n.wl.ej.forEach(func(node int) {
 		n.visits++
@@ -254,11 +241,10 @@ func (n *Network) activeEject() {
 }
 
 // ejectNode is the ejection stage of one router, touching only the
-// slots whose bit is set in ejOcc. rrEj is derived: the reference
-// advances it by one every cycle for every router, so during cycle c it
-// equals c mod slots. The rotation runs over logical slot indices
-// (port × VCs + vc, the reference modulus), split into port and VC by
-// the slotOf table. A fully ejected packet is completed on the spot —
+// slots whose bit is set in ejOcc. It serves the input slots
+// round-robin over logical slot indices (port × VCs + vc, split into
+// port and VC by the slotOf table), and the rotation pointer equals
+// cycle mod slots. A fully ejected packet is completed on the spot —
 // statistics, OnEject, recycle — or, when deferred is non-nil (the
 // parallel engine), appended to it for the serial replay. It reports
 // whether a flit moved.
@@ -313,7 +299,10 @@ func (n *Network) completeEjection(pi int32) {
 	n.recyclePacket(pi)
 }
 
-// activeSwitch mirrors switchPhase over routers holding transit heads.
+// activeSwitch moves flits from input slots to output queues at the
+// routers holding transit heads. Head flits run the routing function
+// and must win the output queue (ownership + space); body flits follow
+// their packet's switching entry.
 func (n *Network) activeSwitch() {
 	n.wl.sw.forEach(func(node int) {
 		n.visits++
@@ -323,12 +312,12 @@ func (n *Network) activeSwitch() {
 	})
 }
 
-// switchNode is the switch stage of one router: it visits the ports in
-// the reference rotated order (rrIn derived like rrEj) and extracts
-// each port's transit occupancy (inOcc minus the locally destined
-// heads, which wait for the ejection stage) from the strided masks in
-// one shift; ports with no transit head are skipped. It reports whether
-// a flit moved.
+// switchNode is the switch stage of one router: it visits the input
+// ports in rotated order, the rotation pointer equal to cycle mod
+// ports, and extracts each port's transit occupancy (inOcc minus the
+// locally destined heads, which wait for the ejection stage) from the
+// strided masks in one shift; ports with no transit head are skipped.
+// It reports whether a flit moved.
 func (n *Network) switchNode(wl *worklists, node int) bool {
 	r := n.routers[node]
 	vcs := n.vcs
@@ -348,10 +337,10 @@ func (n *Network) switchNode(wl *worklists, node int) bool {
 	return moved
 }
 
-// switchPort runs the reference per-port VC arbitration over the
-// occupied transit slots of one input port (occ holds the port's VC
-// occupancy in its low bits): first movable flit in rrVC order wins
-// the port's crossbar input for this cycle. It maintains the masks and
+// switchPort runs the per-port VC arbitration over the occupied transit
+// slots of one input port (occ holds the port's VC occupancy in its low
+// bits): the first movable flit in rrVC order wins the port's crossbar
+// input for this cycle, and rrVC moves past it. It maintains the masks and
 // the given worklists (the caller's shard worklists under the parallel
 // engine), and reports whether a flit moved.
 func (n *Network) switchPort(wl *worklists, r *router, p *inPort, occ uint64, vcs int) bool {
@@ -397,7 +386,9 @@ func (n *Network) switchPort(wl *worklists, r *router, p *inPort, occ uint64, vc
 	return false
 }
 
-// activeInject mirrors injectPhase over sources with pending packets.
+// activeInject lets each source with pending packets push up to
+// InjectRate flits of its current packet into the local router's output
+// queues, opening the worm with a routing decision on the head flit.
 func (n *Network) activeInject() {
 	n.wl.ni.forEach(func(node int) {
 		n.visits++
@@ -480,10 +471,12 @@ func (n *Network) recordInjection(st statRecord) {
 	}
 }
 
-// activeLink mirrors linkPhase over routers holding output flits,
-// visiting the output ports in the reference ascending order and
-// extracting each port's occupancy from the strided mask; empty ports
-// are skipped. op.rr is derived like the other round-robin pointers.
+// activeLink forwards one flit per physical link from the head of an
+// output queue into the matching downstream per-VC input slot, at the
+// routers holding output flits. It visits the output ports in ascending
+// order and extracts each port's occupancy from the strided mask; empty
+// ports are skipped. Every port has alg.VCs() queues, so one rotation
+// pointer, cycle mod VCs, serves them all.
 func (n *Network) activeLink() {
 	vcs := n.vcs
 	rrVC := int(n.modTab[vcs]) // every port has alg.VCs() queues
@@ -501,9 +494,11 @@ func (n *Network) activeLink() {
 	})
 }
 
-// linkPort runs the reference per-link VC arbitration over one output
-// port's occupied queues (occ holds the port's VC occupancy in its low
-// bits): the first departable head in rr order traverses the link.
+// linkPort runs the per-link VC arbitration over one output port's
+// occupied queues (occ holds the port's VC occupancy in its low bits):
+// in rotation order from rr, the first head that has not moved this
+// cycle, may depart, and finds room in its downstream slot traverses
+// the link.
 func (n *Network) linkPort(node int, r *router, op *outPort, occ uint64, vcs, rr int) {
 	a := &n.arena
 	for k := 0; k < vcs; k++ {
@@ -545,8 +540,6 @@ func (n *Network) SetEngine(e Engine) {
 		}
 		n.buildShards()
 		n.rebuildParallelSets()
-	case EngineSweep:
-		n.StopWorkers()
 	default:
 		panic(fmt.Sprintf("noc: unknown engine %d", int(e)))
 	}
@@ -600,8 +593,8 @@ func (n *Network) rebuildWorklists(wlFor func(node int) *worklists) {
 }
 
 // rebuildActiveSets recomputes the masks and the network-wide worklists
-// from the buffers. The sweep engine does not maintain them, so a
-// switch back to the active engine starts here.
+// from the buffers; a switch back from the parallel engine, whose
+// worklists are per shard, starts here.
 func (n *Network) rebuildActiveSets() {
 	n.wl.clear()
 	n.rebuildWorklists(func(int) *worklists { return &n.wl })
@@ -615,9 +608,6 @@ func (n *Network) rebuildActiveSets() {
 // checkParallelInvariants. It participates in CheckConservation, so
 // every conservation-checked run also proves the worklist bookkeeping.
 func (n *Network) checkActiveInvariants() error {
-	if n.engine != EngineActive && n.engine != EngineParallel {
-		return nil
-	}
 	if n.engine == EngineParallel {
 		if err := n.checkParallelInvariants(); err != nil {
 			return err
@@ -703,7 +693,7 @@ func (n *Network) Quiescent() bool { return n.created == n.ejected }
 // simulating the intervening cycles. It is only legal while the
 // network is quiescent: with no flit anywhere and no packet pending, a
 // cycle moves nothing, touches no statistics, and — because the
-// round-robin pointers are derived from the cycle counter — leaves
+// rotation pointers are derived from the cycle counter — leaves
 // arbitration state exactly as if it had been stepped. Earlier or
 // current targets are a no-op.
 func (n *Network) SkipTo(cycle uint64) {
@@ -713,25 +703,7 @@ func (n *Network) SkipTo(cycle uint64) {
 	if !n.Quiescent() {
 		panic(fmt.Sprintf("noc: SkipTo(%d) on a non-quiescent network at cycle %d", cycle, n.cycle))
 	}
-	delta := cycle - n.cycle
-	n.skipped += delta
+	n.skipped += cycle - n.cycle
 	n.cycle = cycle
 	n.rebuildModTab()
-	if n.engine == EngineSweep {
-		// The sweep engine stores its round-robin pointers and advances
-		// them once per cycle even when idle; replay the skipped
-		// advances so the two engines stay interchangeable.
-		for _, r := range n.routers {
-			if np := len(r.in); np > 0 {
-				vcs := n.vcs
-				r.rrEj = (r.rrEj + int(delta%uint64(np*vcs))) % (np * vcs)
-				r.rrIn = (r.rrIn + int(delta%uint64(np))) % np
-			}
-			for i := range r.out {
-				op := &r.out[i]
-				nv := len(op.vcs)
-				op.rr = (op.rr + int(delta%uint64(nv))) % nv
-			}
-		}
-	}
 }

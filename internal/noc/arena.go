@@ -56,10 +56,8 @@ func (h flitH) withVC(vc int) flitH { return h&^vcMask | flitH(vc) }
 // packetArena holds every packet record of a network in parallel field
 // slices, indexed by the handle's packet index. Records are leased and
 // recycled through freeStack (the index-stack successor of the old
-// *Packet freelist); with pooling off the arena instead grows
-// monotonically — index reuse changes allocator traffic only, never
-// results, but the monotonic mode keeps the two runs trivially
-// comparable record for record.
+// *Packet freelist); index reuse changes allocator traffic only, never
+// results.
 type packetArena struct {
 	// pktLen is the constant Config.PacketLen of the owning network;
 	// per-record length storage would duplicate it PacketLen-fold.
@@ -78,7 +76,7 @@ type packetArena struct {
 }
 
 // len returns the number of records ever allocated (the population
-// high-water mark of the current pooling regime).
+// high-water mark).
 func (a *packetArena) len() int { return len(a.id) }
 
 // grow appends one zeroed record, returning its index. Growth
@@ -95,22 +93,6 @@ func (a *packetArena) grow() int32 {
 	a.recv = append(a.recv, 0)
 	a.free = append(a.free, false)
 	return int32(idx)
-}
-
-// truncate drops every record and the free stack, keeping the backing
-// arrays. Used when pooling is (re)disabled and by Reset in the
-// unpooled regime, where records are never reused; the next run grows
-// into the warm capacity.
-func (a *packetArena) truncate() {
-	a.id = a.id[:0]
-	a.src = a.src[:0]
-	a.dst = a.dst[:0]
-	a.created = a.created[:0]
-	a.injected = a.injected[:0]
-	a.hops = a.hops[:0]
-	a.recv = a.recv[:0]
-	a.free = a.free[:0]
-	a.freeStack = a.freeStack[:0]
 }
 
 // bytes reports the resident bytes of the arena's record slices and

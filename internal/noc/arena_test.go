@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -67,25 +66,19 @@ func TestNewNetworkRejectsOversizedGeometry(t *testing.T) {
 
 // With enough VCs the per-router occupancy masks span multiple words
 // (the seed's engine was limited to 64 slots — one word — per router).
-// All three engines must agree cycle for cycle on such a fabric, at
-// every shard count, proving the multi-word set/clear/port extraction
-// and the cross-word worklist retirement.
+// The engines must reproduce the frozen reference cycle for cycle on
+// such a fabric, the parallel one at every shard count, proving the
+// multi-word set/clear/port extraction and the cross-word worklist
+// retirement.
 func TestMultiWordMasksCrossEngine(t *testing.T) {
 	const vcs = 17 // stride rounds to 32; 4-port mesh routers span 128 mask bits
-	build := func() *Network {
-		m := topology.MustMesh(4, 4)
-		n, err := NewNetwork(m, inflatedVCs{routing.NewMeshXY(m), vcs}, DefaultConfig(), stats.NewCollector(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	ref := build()
-	ref.SetEngine(EngineSweep)
+	m := topology.MustMesh(4, 4)
+	alg := inflatedVCs{routing.NewMeshXY(m), vcs}
+	active := goldenNet(t, m, alg, DefaultConfig())
 	// The test must actually exercise multi-word masks: an interior
 	// mesh node has 4 input ports, so its mask is 4*32 = 128 bits.
 	multi := false
-	for _, r := range ref.routers {
+	for _, r := range active.routers {
 		if len(r.inOcc) > 1 {
 			multi = true
 		}
@@ -94,11 +87,11 @@ func TestMultiWordMasksCrossEngine(t *testing.T) {
 		t.Fatal("geometry fits one mask word — test is vacuous")
 	}
 
-	nets := []*Network{ref, build()} // sweep + active
+	nets := []*Network{active}
 	for _, k := range parallelShardCounts {
-		nets = append(nets, newParallelNet(t, topology.MustMesh(4, 4),
-			inflatedVCs{routing.NewMeshXY(topology.MustMesh(4, 4)), vcs}, DefaultConfig(), k))
+		nets = append(nets, newParallelNet(t, m, alg, DefaultConfig(), k))
 	}
+	fp := newFingerprints()
 	rng := sim.NewRNG(17)
 	for cycle := 0; cycle < 2500; cycle++ {
 		if rng.Bernoulli(0.4) {
@@ -111,19 +104,18 @@ func TestMultiWordMasksCrossEngine(t *testing.T) {
 				}
 			}
 		}
-		want := ""
-		for i, n := range nets {
+		for _, n := range nets {
 			n.Step()
-			fp := stateFingerprint(n)
-			if i == 0 {
-				want = fp
-				continue
-			}
-			if fp != want {
-				t.Fatalf("engine %d diverged at cycle %d:\nsweep: %s\ngot:   %s", i, cycle, want, fp)
+		}
+		want := stateFingerprint(active)
+		for _, n := range nets[1:] {
+			if got := stateFingerprint(n); got != want {
+				t.Fatalf("%d shards diverged at cycle %d:\nactive:   %s\nparallel: %s", n.Shards(), cycle, want, got)
 			}
 		}
+		fp.add(active)
 	}
+	checkGolden(t, "multi-word-masks", fp.sum())
 	for i, n := range nets {
 		if err := n.CheckConservation(); err != nil {
 			t.Fatalf("engine %d: %v", i, err)
@@ -135,21 +127,12 @@ func TestMultiWordMasksCrossEngine(t *testing.T) {
 }
 
 // arenaResetTrial drives a random prefix workload, Resets mid-flight
-// (buffers and queues full), optionally flips pooling, then replays a
-// second workload and demands bit-identity with a fresh twin that
-// never saw the prefix — the recycled arena and free stack must be
-// indistinguishable from cold ones.
-func arenaResetTrial(t *testing.T, seed uint64, prefixCycles int, poolPrefix, poolReplay bool) {
+// (buffers and queues full), then replays a second workload and demands
+// bit-identity with a fresh twin that never saw the prefix — the
+// recycled arena and free stack must be indistinguishable from cold
+// ones.
+func arenaResetTrial(t *testing.T, seed uint64, prefixCycles int) {
 	t.Helper()
-	build := func(pooling bool) *Network {
-		s := topology.MustSpidergon(16)
-		n, err := NewNetwork(s, routing.NewSpidergonRouting(s), DefaultConfig(), stats.NewCollector(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.SetPooling(pooling)
-		return n
-	}
 	run := func(n *Network, cycles int, seed uint64) {
 		rng := sim.NewRNG(seed)
 		for c := 0; c < cycles; c++ {
@@ -165,17 +148,14 @@ func arenaResetTrial(t *testing.T, seed uint64, prefixCycles int, poolPrefix, po
 		}
 	}
 
-	reused := build(poolPrefix)
+	reused := newSpidergonNet(t, 16, DefaultConfig())
 	run(reused, prefixCycles, seed)
 	reused.Reset()
-	if poolReplay != poolPrefix {
-		reused.SetPooling(poolReplay) // legal: Reset cleared the accounting
-	}
 	if err := reused.CheckConservation(); err != nil {
 		t.Fatalf("post-Reset conservation: %v", err)
 	}
 
-	fresh := build(poolReplay)
+	fresh := newSpidergonNet(t, 16, DefaultConfig())
 	run(reused, 1500, seed^0x9e3779b97f4a7c15)
 	run(fresh, 1500, seed^0x9e3779b97f4a7c15)
 	if fr, ff := stateFingerprint(reused), stateFingerprint(fresh); fr != ff {
@@ -194,29 +174,26 @@ func arenaResetTrial(t *testing.T, seed uint64, prefixCycles int, poolPrefix, po
 	}
 }
 
-// Directed sweep of the Reset-recycling property over the pooling
-// on/off square — the always-run counterpart of the fuzz target below.
+// Directed cases of the Reset-recycling property — Reset on an empty
+// network, mid-warm-up and deep in a loaded run — the always-run
+// counterpart of the fuzz target below.
 func TestArenaRecycleAcrossReset(t *testing.T) {
-	for _, pp := range []bool{true, false} {
-		for _, pr := range []bool{true, false} {
-			t.Run(fmt.Sprintf("prefixPool=%v,replayPool=%v", pp, pr), func(t *testing.T) {
-				arenaResetTrial(t, 41, 1200, pp, pr)
-			})
-		}
+	for _, prefix := range []int{0, 300, 1200} {
+		arenaResetTrial(t, 41, prefix)
 	}
 }
 
 // FuzzArenaRecycleAcrossReset lets the fuzzer vary the prefix length
-// (so Reset lands at arbitrary in-flight populations, including empty)
-// and the pooling transitions, hunting for a reclaim path that leaks,
-// double-frees, or perturbs the replay.
+// (so Reset lands at arbitrary in-flight populations, including empty),
+// hunting for a reclaim path that leaks, double-frees, or perturbs the
+// replay.
 func FuzzArenaRecycleAcrossReset(f *testing.F) {
-	f.Add(uint64(1), uint16(0), true, true)
-	f.Add(uint64(7), uint16(300), true, false)
-	f.Add(uint64(13), uint16(999), false, true)
-	f.Add(uint64(99), uint16(1700), false, false)
-	f.Fuzz(func(t *testing.T, seed uint64, prefix uint16, poolPrefix, poolReplay bool) {
-		arenaResetTrial(t, seed, int(prefix)%2000, poolPrefix, poolReplay)
+	f.Add(uint64(1), uint16(0))
+	f.Add(uint64(7), uint16(300))
+	f.Add(uint64(13), uint16(999))
+	f.Add(uint64(99), uint16(1700))
+	f.Fuzz(func(t *testing.T, seed uint64, prefix uint16) {
+		arenaResetTrial(t, seed, int(prefix)%2000)
 	})
 }
 
@@ -236,7 +213,6 @@ func TestHandlePathZeroAllocSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetPooling(true)
 	cycle := 0
 	tick := func() {
 		if cycle%3 == 0 {
@@ -290,12 +266,14 @@ func TestLiveStateBytesDeterministic(t *testing.T) {
 		}
 	}
 	a, b := build(), build()
-	b.SetEngine(EngineSweep)
+	b.SetShards(3)
+	b.SetEngine(EngineParallel)
+	t.Cleanup(b.StopWorkers)
 	empty := a.LiveStateBytes()
 	drive(a)
 	drive(b)
 	if a.LiveStateBytes() != b.LiveStateBytes() {
-		t.Fatalf("engines disagree on live bytes: active %d, sweep %d",
+		t.Fatalf("engines disagree on live bytes: active %d, parallel %d",
 			a.LiveStateBytes(), b.LiveStateBytes())
 	}
 	loaded := a.LiveStateBytes()

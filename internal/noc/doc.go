@@ -14,7 +14,7 @@
 //
 // # Engines
 //
-// Three interchangeable engines implement Step. The default
+// Two interchangeable engines implement Step. The default
 // activity-driven engine (active.go) drains per-phase worklists —
 // bitmap active sets over routers and sources, updated exactly where
 // flits move — so a cycle costs time proportional to in-flight work
@@ -31,11 +31,14 @@
 // downstream shard's pops-done mark and re-reads exact occupancy.
 // Each shard drains its inbound mailboxes at the end of its own pass
 // in canonical sender order, so cycle-boundary state is bit-identical
-// to the serial engines and the barrier's serial section only merges
+// to the serial engine and the barrier's serial section only merges
 // counters and refreshes credits — it never replays a link decision
-// or moves a flit. EngineSweep is the original scan-everything
-// reference; the cross-engine tests prove all three produce
-// bit-identical results for every scenario class.
+// or moves a flit. Arbitration is derived from the cycle counter: each
+// round-robin rotation of length d starts at cycle mod d during a
+// cycle, so no rotation pointer is stored. The scan-everything engine
+// both replaced is gone; the golden tests hold them to the per-cycle
+// fingerprint digests it recorded (testdata/reference-golden.json),
+// bit for bit, for every scenario class.
 //
 // # Arena and handle layout
 //
@@ -55,16 +58,14 @@
 // the cycle of its last push and counts that cycle's pushes, and since
 // this cycle's arrivals sit at the tail and cannot leave before the
 // next, the head has already moved this cycle exactly when all resident
-// flits were pushed in it. The active and parallel engines wrap every
-// round-robin rotation by subtraction; only the sweep reference divides. The freelist of recycled packets is an
-// index stack on the arena; with pooling off the arena grows
-// monotonically instead, which changes allocator traffic but never
-// results.
+// flits were pushed in it. Both engines wrap every round-robin rotation
+// by subtraction. The freelist of recycled packets is an index stack on
+// the arena; recycling changes allocator traffic but never results.
 //
 // Per-router slot-occupancy masks (mask.go) are multi-word bitmaps with
 // a power-of-two per-port stride, so any degree × VC product is
-// supported by every engine (the old single-word masks forced large
-// routers onto the sweep engine).
+// supported by both engines (the old single-word masks forced large
+// routers onto a scan-everything engine).
 //
 // # Observer views
 //

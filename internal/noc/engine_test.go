@@ -10,23 +10,6 @@ import (
 	"gonoc/internal/topology"
 )
 
-// enginePair builds two identical networks, one per engine, over a
-// 16-node spidergon (or the given topology).
-func enginePair(t *testing.T, topo topology.Topology, alg routing.Algorithm, cfg Config) (active, sweep *Network) {
-	t.Helper()
-	var err error
-	active, err = NewNetwork(topo, alg, cfg, stats.NewCollector(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep, err = NewNetwork(topo, alg, cfg, stats.NewCollector(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep.SetEngine(EngineSweep)
-	return active, sweep
-}
-
 // stateFingerprint summarises everything observable about a network at
 // one cycle boundary: the packet counters, per-channel traversals, and
 // per-node buffer occupancy.
@@ -36,55 +19,42 @@ func stateFingerprint(n *Network) string {
 		n.QueuedPackets(), n.InFlightFlits(), n.IdleCycles(), n.ChannelTraversals(), n.OccupancySnapshot())
 }
 
-// The active engine must track the sweep reference cycle for cycle,
-// not just at the end of a run: any divergence in arbitration order
-// shows up in the buffer occupancy fingerprint the same cycle it
-// happens.
+// The engine must track the frozen sweep reference cycle for cycle, not
+// just at the end of a run: any divergence in arbitration order changes
+// the buffer occupancy fingerprint the same cycle it happens, and with it
+// the digest. The worklist-load gauge is hashed alongside; the reference
+// derived it by walking the buffers.
 func TestEnginesAgreeCycleByCycle(t *testing.T) {
 	s := topology.MustSpidergon(16)
-	a, b := enginePair(t, s, routing.NewSpidergonRouting(s), DefaultConfig())
+	n := goldenNet(t, s, routing.NewSpidergonRouting(s), DefaultConfig())
+	fp := newFingerprints()
 	rng := sim.NewRNG(7)
 	for cycle := 0; cycle < 4000; cycle++ {
 		if rng.Bernoulli(0.3) {
 			src, dst := rng.Intn(16), rng.Intn(16)
 			if src != dst {
-				if err := a.Inject(src, dst); err != nil {
-					t.Fatal(err)
-				}
-				if err := b.Inject(src, dst); err != nil {
+				if err := n.Inject(src, dst); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		a.Step()
-		b.Step()
-		if fa, fb := stateFingerprint(a), stateFingerprint(b); fa != fb {
-			t.Fatalf("engines diverged at cycle %d:\nactive: %s\nsweep:  %s", cycle, fa, fb)
-		}
-		// The worklist-load gauge must agree with the sweep engine's
-		// buffer walk at every instant.
-		if na, nb := a.ActiveNodes(), b.ActiveNodes(); na != nb {
-			t.Fatalf("cycle %d: ActiveNodes %d (active) vs %d (sweep)", cycle, na, nb)
-		}
+		n.Step()
+		fp.add(n, n.ActiveNodes())
 	}
-	if err := a.CheckConservation(); err != nil {
+	if err := n.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Drain(10000); err != nil {
+	if err := n.Drain(10000); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Drain(10000); err != nil {
-		t.Fatal(err)
-	}
-	if fa, fb := stateFingerprint(a), stateFingerprint(b); fa != fb {
-		t.Fatalf("engines diverged after drain:\nactive: %s\nsweep:  %s", fa, fb)
-	}
+	fp.add(n)
+	checkGolden(t, "cycle-by-cycle", fp.sum())
 }
 
 // Fuzz-style equivalence: random topologies, switching modes, buffer
-// geometries, interface rates and injection streams must never
-// separate the two engines. Each trial also proves the worklist
-// invariants via CheckConservation.
+// geometries, interface rates and injection streams must never separate
+// the engine from the frozen reference. Each trial also proves the
+// worklist invariants via CheckConservation.
 func TestEnginesAgreeRandomized(t *testing.T) {
 	master := sim.NewRNG(42)
 	for trial := 0; trial < 12; trial++ {
@@ -113,41 +83,34 @@ func TestEnginesAgreeRandomized(t *testing.T) {
 				cfg.OutBufCap = cfg.PacketLen
 			}
 		}
-		name := fmt.Sprintf("trial %d (%s, %v)", trial, topo.Name(), cfg)
-		a, b := enginePair(t, topo, alg, cfg)
-		n := topo.Nodes()
+		n := goldenNet(t, topo, alg, cfg)
+		nodes := topo.Nodes()
 		rate := 0.05 + 0.4*rng.Float64()
 		for cycle := 0; cycle < 1500; cycle++ {
 			if rng.Bernoulli(rate) {
-				src, dst := rng.Intn(n), rng.Intn(n)
+				src, dst := rng.Intn(nodes), rng.Intn(nodes)
 				if src != dst {
-					_ = a.Inject(src, dst)
-					_ = b.Inject(src, dst)
+					_ = n.Inject(src, dst)
 				}
 			}
-			a.Step()
-			b.Step()
+			n.Step()
 		}
-		if fa, fb := stateFingerprint(a), stateFingerprint(b); fa != fb {
-			t.Fatalf("%s: engines diverged:\nactive: %s\nsweep:  %s", name, fa, fb)
-		}
-		if err := a.CheckConservation(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := b.CheckConservation(); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		fp := newFingerprints()
+		fp.add(n)
+		checkGolden(t, fmt.Sprintf("randomized/trial-%d", trial), fp.sum())
+		if err := n.CheckConservation(); err != nil {
+			t.Fatalf("trial %d (%s, %v): %v", trial, topo.Name(), cfg, err)
 		}
 	}
 }
 
 // SkipTo must be exactly equivalent to stepping an idle network: both
 // engines, fast-forwarded across a quiescent gap, must agree with a
-// twin that stepped through it — round-robin pointers included (the
-// injections after the gap land differently if any pointer drifts).
+// twin that stepped through it — round-robin rotations included (the
+// injections after the gap land differently if any rotation drifts).
 func TestSkipToMatchesIdleStepping(t *testing.T) {
-	for _, eng := range []Engine{EngineActive, EngineSweep, EngineParallel} {
-		s := topology.MustSpidergon(16)
-		skip, step := enginePair(t, s, routing.NewSpidergonRouting(s), DefaultConfig())
+	for _, eng := range []Engine{EngineActive, EngineParallel} {
+		skip, step := newSpidergonNet(t, 16, DefaultConfig()), newSpidergonNet(t, 16, DefaultConfig())
 		if eng == EngineParallel {
 			skip.SetShards(3)
 			step.SetShards(3)

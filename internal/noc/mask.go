@@ -3,7 +3,7 @@ package noc
 // slotMask is a multi-word bitmap over one router's flattened
 // (port, VC) buffer slots — the successor of the single-uint64 masks
 // that capped a router at 64 slots and forced high-degree × high-VC
-// networks onto the sweep engine. Ports are laid out at a power-of-two
+// networks onto a scan-everything engine. Ports are laid out at a power-of-two
 // stride ≥ the VC count (Network.stride), so a port's bits never
 // straddle a word boundary: extracting one port's occupancy is a single
 // shift-and-mask regardless of how many words the router needs. The

@@ -62,7 +62,6 @@ type Network struct {
 	visits   uint64    // per-phase router/source worklist visits
 	skipped  uint64    // cycles fast-forwarded by SkipTo
 	barriers uint64    // parallel-engine worker barriers crossed
-	sreplays uint64    // boundary ports replayed in the serial section (retired: always 0 since credits)
 	specs    uint64    // cross-shard flits delivered speculatively on credit
 	cdefers  uint64    // zero-credit link decisions synchronized in-pass
 
@@ -79,16 +78,13 @@ type Network struct {
 	modDivs []int
 	modTab  []uint32
 
-	// pooling selects the freelist regime of the arena: enabled, every
-	// fully ejected packet's record returns to the index stack (after
-	// the ejection observers run) and InjectPacket leases from it, so
-	// the steady state of a run — and of every following run after
-	// Reset — creates packets without touching the allocator. Disabled,
-	// the arena grows monotonically. recycled counts returns to the
-	// stack; CheckConservation proves recycled == ejected (no leak) and
-	// that no free record is still referenced by a live handle (no
-	// double-free).
-	pooling  bool
+	// recycled counts packet records returned to the arena's free
+	// stack: every fully ejected packet's record goes back (after the
+	// ejection observers run) and InjectPacket leases from it, so the
+	// steady state of a run — and of every following run after Reset —
+	// creates packets without touching the allocator. CheckConservation
+	// proves recycled == ejected (no leak) and that no free record is
+	// still referenced by a live handle (no double-free).
 	recycled uint64
 
 	// linkFlits counts flit traversals per channel ID.
@@ -156,7 +152,7 @@ func NewNetwork(t topology.Topology, a routing.Algorithm, cfg Config, col *stats
 	if cfg.PacketLen > MaxPacketLen {
 		return nil, fmt.Errorf("noc: packet length %d exceeds handle limit %d", cfg.PacketLen, MaxPacketLen)
 	}
-	n := &Network{topo: t, alg: a, cfg: cfg, col: col, pooling: true, vcs: a.VCs()}
+	n := &Network{topo: t, alg: a, cfg: cfg, col: col, vcs: a.VCs()}
 	n.arena.pktLen = cfg.PacketLen
 	// Ports are spaced at the next power of two ≥ the VC count inside
 	// the slot masks, so no port's bits straddle a mask word.
@@ -258,12 +254,12 @@ func (n *Network) InjectPacket(src, dst int) (*Packet, error) {
 }
 
 // leasePacket draws a record from the arena's free stack, falling back
-// to arena growth while the stack warms up (or always, when pooling is
-// off), and initializes it for the new packet.
+// to arena growth while the stack warms up, and initializes it for the
+// new packet.
 func (n *Network) leasePacket(src, dst int) int32 {
 	a := &n.arena
 	var pi int32
-	if k := len(a.freeStack); n.pooling && k > 0 {
+	if k := len(a.freeStack); k > 0 {
 		pi = a.freeStack[k-1]
 		a.freeStack = a.freeStack[:k-1]
 		a.free[pi] = false
@@ -285,9 +281,6 @@ func (n *Network) leasePacket(src, dst int) int32 {
 // their return. A second recycle of the same lease is always an
 // accounting bug and panics rather than corrupting the arena.
 func (n *Network) recyclePacket(pi int32) {
-	if !n.pooling {
-		return
-	}
 	a := &n.arena
 	if a.free[pi] {
 		panic(fmt.Sprintf("noc: double recycle of %s", n.pktString(pi)))
@@ -300,26 +293,6 @@ func (n *Network) recyclePacket(pi int32) {
 // PoolSize returns the number of packet records currently resident on
 // the arena's free stack.
 func (n *Network) PoolSize() int { return len(n.arena.freeStack) }
-
-// SetPooling enables or disables record recycling. The default is
-// enabled; the two modes are result-equivalent bit for bit (proven by
-// the golden pool-on/pool-off tests), so the toggle changes allocator
-// traffic, never results. It must be called before any packet exists —
-// on a freshly built or Reset network — because the conservation
-// accounting assumes one regime per run. Disabling drops the arena
-// population (capacity is kept).
-func (n *Network) SetPooling(on bool) {
-	if n.created != 0 {
-		panic("noc: SetPooling on a network that already created packets")
-	}
-	n.pooling = on
-	if !on {
-		n.arena.truncate()
-	}
-}
-
-// Pooling reports whether packet-record recycling is enabled.
-func (n *Network) Pooling() bool { return n.pooling }
 
 // ErrSourceQueueFull reports an Inject refused by a bounded source queue.
 var ErrSourceQueueFull = fmt.Errorf("noc: source queue full")
@@ -384,234 +357,20 @@ func (n *Network) canDepart(q *outVC) bool {
 // holding it (ring.advanced) prevents a flit from advancing through two
 // stages in one cycle. The default engine visits only active routers
 // and sources (active.go); the parallel engine (parallel.go) executes
-// the same phases shard-parallel with deterministic barriers; the sweep
-// engine below scans everything and serves as the golden reference both
-// are tested against.
+// the same per-node stages shard-parallel with deterministic barriers
+// and produces bit-identical results.
 func (n *Network) Step() {
-	switch n.engine {
-	case EngineSweep:
-		n.stepSweep()
-	case EngineParallel:
+	if n.engine == EngineParallel {
 		n.stepParallel()
-	default:
-		n.stepActive()
+		return
 	}
-}
-
-// stepSweep is the reference per-cycle sweep over all routers.
-func (n *Network) stepSweep() {
-	n.moved = false
-	n.ejectPhase()
-	n.switchPhase()
-	n.injectPhase()
-	n.linkPhase()
-	if n.moved {
-		n.lastActivity = n.cycle
-	}
-	n.cycle++
+	n.stepActive()
 }
 
 // StepN advances the network k cycles.
 func (n *Network) StepN(k int) {
 	for i := 0; i < k; i++ {
 		n.Step()
-	}
-}
-
-// ejectPhase consumes up to SinkRate flits per node from input-slot
-// heads destined to that node, round-robin across (input port, VC)
-// slots. The paper's destination IP consumes flits in FIFO order
-// through a single ejection port — the bottleneck of the hot-spot
-// scenarios.
-func (n *Network) ejectPhase() {
-	vcs := n.vcs
-	a := &n.arena
-	tail := a.pktLen - 1
-	for _, r := range n.routers {
-		n.visits++
-		budget := n.cfg.SinkRate
-		np := len(r.in)
-		if np == 0 {
-			continue
-		}
-		slots := np * vcs
-		for k := 0; k < slots && budget > 0; k++ {
-			s := (r.rrEj + k) % slots
-			q := &r.in[s/vcs].bufs[s%vcs]
-			for budget > 0 && !q.empty() && a.dst[q.head().pkt()] == int32(r.node) {
-				h := q.pop()
-				pi := h.pkt()
-				n.telOcc[r.node]--
-				n.telEj[r.node]++
-				budget--
-				n.moved = true
-				a.recv[pi]++
-				if h.seq() == tail {
-					n.ejected++
-					n.col.PacketEjected(n.cycle, a.created[pi], a.injected[pi], a.pktLen, int(a.hops[pi]))
-					if n.onEject != nil {
-						n.materializePacket(&n.ejView, pi)
-						n.onEject(&n.ejView)
-					}
-					n.recyclePacket(pi)
-				}
-			}
-		}
-		r.rrEj = (r.rrEj + 1) % slots
-	}
-}
-
-// switchPhase moves flits from input slots to output queues. Head
-// flits run the routing function and must win the output queue
-// (ownership + space); body flits follow their packet's switching
-// entry. One flit per input port per cycle (the crossbar input port is
-// shared by the port's VC slots, arbitrated round-robin).
-func (n *Network) switchPhase() {
-	vcs := n.vcs
-	a := &n.arena
-	now := n.cycle + 1
-	for _, r := range n.routers {
-		n.visits++
-		np := len(r.in)
-		for k := 0; k < np; k++ {
-			p := &r.in[(r.rrIn+k)%np]
-			for j := 0; j < vcs; j++ {
-				inVC := (p.rrVC + j) % vcs
-				q := &p.bufs[inVC]
-				if q.empty() || q.advanced(now) {
-					continue // nothing here, or already advanced this cycle
-				}
-				h := q.head()
-				pi := h.pkt()
-				if a.dst[pi] == int32(r.node) {
-					continue // waits for the ejection phase
-				}
-				entry := &p.route[inVC]
-				if h.seq() == 0 {
-					// Heads route afresh on every attempt (adaptive
-					// algorithms re-evaluate congestion) and commit
-					// switching state only when the output queue is won.
-					op, vc := n.nextHop(r, pi, inVC)
-					if !n.canAdmit(&op.vcs[vc]) {
-						continue // allocation denied; retry next cycle
-					}
-					op.vcs[vc].owner = pi
-					*entry = routeEntry{active: true, port: op, vc: vc}
-				} else if !entry.active {
-					panic(fmt.Sprintf("noc: body flit %s at node %d without switching state", n.flitString(h), r.node))
-				}
-				ovc := &entry.port.vcs[entry.vc]
-				if ovc.owner != pi || ovc.q.full() {
-					continue // space denied; retry next cycle
-				}
-				q.pop()
-				h = h.withVC(entry.vc)
-				ovc.q.push(h, now)
-				n.moved = true
-				if h.seq() == a.pktLen-1 {
-					ovc.owner = -1
-					entry.active = false
-				}
-				p.rrVC = (inVC + 1) % vcs
-				break // one flit per input port per cycle
-			}
-		}
-		r.rrIn = (r.rrIn + 1) % np
-	}
-}
-
-// injectPhase lets each NI push up to InjectRate flits of its current
-// packet into the local router's output queues, opening the worm with a
-// routing decision on the head flit. A blocked ready flit is recorded
-// as a source-blocked cycle.
-func (n *Network) injectPhase() {
-	a := &n.arena
-	for node, q := range n.nis {
-		r := n.routers[node]
-		n.visits++
-		budget := n.cfg.InjectRate
-		for budget > 0 {
-			if q.sending < 0 {
-				if q.queue.len() == 0 {
-					break
-				}
-				q.sending = q.queue.pop()
-				q.nextSeq = 0
-				q.vc = 0
-				q.route = routeEntry{}
-			}
-			pi := q.sending
-			if q.nextSeq == 0 && !q.route.active {
-				op, vc := n.nextHop(r, pi, 0)
-				if !n.canAdmit(&op.vcs[vc]) {
-					n.col.SourceBlocked(n.cycle)
-					break
-				}
-				op.vcs[vc].owner = pi
-				q.route = routeEntry{active: true, port: op, vc: vc}
-			}
-			ovc := &q.route.port.vcs[q.route.vc]
-			if ovc.q.full() {
-				n.col.SourceBlocked(n.cycle)
-				break
-			}
-			h := mkFlit(pi, q.nextSeq, q.route.vc)
-			ovc.q.push(h, n.cycle+1)
-			n.telOcc[node]++
-			n.telInj[node]++
-			n.moved = true
-			q.nextSeq++
-			budget--
-			if h.seq() == 0 {
-				a.injected[pi] = n.cycle
-				n.injected++
-				n.col.PacketInjected(n.cycle, a.pktLen)
-			}
-			if h.seq() == a.pktLen-1 {
-				ovc.owner = -1
-				q.sending = -1
-				q.route = routeEntry{}
-			}
-		}
-	}
-}
-
-// linkPhase forwards one flit per physical link from the head of an
-// output queue (round-robin across that port's VCs) into the matching
-// downstream per-VC input slot, provided the slot has room and the flit
-// has not already advanced this cycle.
-func (n *Network) linkPhase() {
-	a := &n.arena
-	now := n.cycle + 1
-	for _, r := range n.routers {
-		n.visits++
-		for i := range r.out {
-			op := &r.out[i]
-			nv := len(op.vcs)
-			sent := false
-			for k := 0; k < nv && !sent; k++ {
-				vi := (op.rr + k) % nv
-				v := &op.vcs[vi]
-				if v.q.empty() || v.q.advanced(now) || !n.canDepart(v) {
-					continue
-				}
-				in := &op.peer.bufs[vi]
-				if in.full() {
-					continue
-				}
-				h := v.q.pop()
-				n.telOcc[r.node]--
-				if h.seq() == 0 {
-					a.hops[h.pkt()]++
-				}
-				n.linkFlits[op.ch.ID]++
-				in.push(h, now)
-				n.telOcc[op.ch.Dst]++
-				n.moved = true
-				sent = true
-			}
-			op.rr = (op.rr + 1) % nv
-		}
 	}
 }
 
@@ -665,12 +424,10 @@ func (n *Network) IdleCycles() uint64 {
 // its worklist would be stranded forever). The arena invariants are
 // proven alongside: every buffered handle is valid (packet index in
 // range, seq within the packet, VC within the algorithm's range), no
-// live handle references a free record, and — with pooling enabled —
-// the free stack holds distinct free-marked records that tile the arena
-// exactly with the live population (arena == free + created − ejected);
-// without pooling the arena must have grown monotonically (one record
-// per created packet, empty free stack). It returns nil when
-// consistent.
+// live handle references a free record, and the free stack holds
+// distinct free-marked records that tile the arena exactly with the
+// live population (arena == free + created − ejected). It returns nil
+// when consistent.
 func (n *Network) CheckConservation() error {
 	// Structural handle validity comes first: every later check (the
 	// worklist invariant rebuild in particular) dereferences arena
@@ -787,25 +544,14 @@ func (n *Network) checkHandles() error {
 	return nil
 }
 
-// checkPool proves the arena's freelist accounting. Under pooling:
-// recycles mirror ejections one for one, the free stack holds exactly
-// the recycled-minus-releeased records — each index in range, distinct
-// and marked free (the buffer and queue walks in CheckConservation
-// already rejected any free record still live) — and the free stack
-// plus the live lease population tile the arena record range exactly.
-// Without pooling the free stack must be empty and the arena grown one
-// record per created packet.
+// checkPool proves the arena's freelist accounting: recycles mirror
+// ejections one for one, the free stack holds exactly the
+// recycled-minus-released records — each index in range, distinct and
+// marked free (the buffer and queue walks in CheckConservation already
+// rejected any free record still live) — and the free stack plus the
+// live lease population tile the arena record range exactly.
 func (n *Network) checkPool() error {
 	a := &n.arena
-	if !n.pooling {
-		if len(a.freeStack) != 0 {
-			return fmt.Errorf("noc: pooling disabled but %d records on the free stack", len(a.freeStack))
-		}
-		if uint64(a.len()) != n.created {
-			return fmt.Errorf("noc: pooling disabled but arena holds %d records for %d created packets", a.len(), n.created)
-		}
-		return nil
-	}
 	if n.recycled != n.ejected {
 		return fmt.Errorf("noc: pool leak: %d packets ejected but %d recycled", n.ejected, n.recycled)
 	}
@@ -841,12 +587,10 @@ func (n *Network) checkPool() error {
 // round-robin pointers, no ejection callback — while keeping every
 // allocated structure: the routers, their slot blocks, and above all
 // the packet arena, to which all in-flight and queued packets' records
-// are reclaimed first (without pooling the arena population is dropped
-// instead, its capacity kept). A reset network therefore runs the next scenario bit
-// for bit like a freshly built one but with a warm freelist, which is
-// what lets a campaign reuse one network across replications instead of
-// rebuilding it per run. The engine selection is preserved; pooling may
-// be retoggled afterwards (created is back to zero).
+// are reclaimed first. A reset network therefore runs the next scenario
+// bit for bit like a freshly built one but with a warm freelist, which
+// is what lets a campaign reuse one network across replications instead
+// of rebuilding it per run. The engine selection is preserved.
 func (n *Network) Reset() {
 	for _, r := range n.routers {
 		_ = r.eachFlit(func(h flitH) error {
@@ -867,9 +611,7 @@ func (n *Network) Reset() {
 				op.vcs[vc].q.reset()
 				op.vcs[vc].owner = -1
 			}
-			op.rr = 0
 		}
-		r.rrIn, r.rrEj = 0, 0
 		r.inOcc.zero()
 		r.ejOcc.zero()
 		r.outOcc.zero()
@@ -886,9 +628,6 @@ func (n *Network) Reset() {
 		s.nextSeq, s.vc = 0, 0
 		s.route = routeEntry{}
 	}
-	if !n.pooling {
-		n.arena.truncate()
-	}
 	for i := range n.linkFlits {
 		n.linkFlits[i] = 0
 	}
@@ -901,8 +640,7 @@ func (n *Network) Reset() {
 	n.created, n.ejected, n.injected, n.recycled = 0, 0, 0, 0
 	n.lastActivity, n.moved = 0, false
 	n.visits, n.skipped = 0, 0
-	n.barriers, n.sreplays = 0, 0
-	n.specs, n.cdefers = 0, 0
+	n.barriers, n.specs, n.cdefers = 0, 0, 0
 	n.onEject = nil
 	n.wl.clear()
 	n.resetShards()
@@ -911,11 +649,10 @@ func (n *Network) Reset() {
 
 // reclaim returns a still-live packet record to the free stack during
 // Reset. A worm spread across several buffers reaches reclaim once per
-// flit; the free mark deduplicates. Without pooling the record is
-// simply dropped (the arena is truncated by Reset).
+// flit; the free mark deduplicates.
 func (n *Network) reclaim(pi int32) {
 	a := &n.arena
-	if !n.pooling || a.free[pi] {
+	if a.free[pi] {
 		return
 	}
 	a.free[pi] = true

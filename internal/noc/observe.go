@@ -81,7 +81,7 @@ func (n *Network) Utilization() UtilizationSummary {
 }
 
 // PerfStats is the engine's deterministic work accounting: how many
-// worklist (or sweep) visits the phase loops performed and how many
+// worklist visits the phase loops performed and how many
 // idle cycles were fast-forwarded. Both counters are pure functions of
 // the scenario — independent of wall clock, host, and parallelism — so
 // the perf-regression gate (make bench-check) can compare them against
@@ -89,9 +89,9 @@ func (n *Network) Utilization() UtilizationSummary {
 type PerfStats struct {
 	// Engine names the Step implementation that produced the counters.
 	Engine string
-	// RouterVisits counts per-phase router/source visits: the sweep
-	// engine pays 4×N every cycle, the active engine only for nodes
-	// holding work.
+	// RouterVisits counts per-phase router/source visits: only nodes
+	// holding work are visited, so a scan of everything would pay 4×N
+	// per cycle.
 	RouterVisits uint64
 	// SkippedCycles counts cycles advanced by SkipTo instead of Step.
 	SkippedCycles uint64
@@ -105,13 +105,6 @@ type PerfStats struct {
 	// zero for the serial engines and the single-shard decomposition.
 	// Deterministic, so the perf gate pins the synchronization budget.
 	Barriers uint64
-	// SerialReplayVisits counts cross-shard boundary ports whose link
-	// decision was replayed in the cycle-end serial section. Retired by
-	// the credit discipline — every boundary decision now resolves
-	// inside the pass, so this stays 0 — but kept (and gated at 0 in
-	// bench-baseline.json) as a strict regression guard: any future
-	// change that reintroduces serial replay fails the perf gate.
-	SerialReplayVisits uint64
 	// SpeculativeDeliveries counts cross-shard flits delivered on an
 	// unexpired cycle-start credit — the fraction of boundary traffic
 	// that required no synchronization at all. Deterministic: whether a
@@ -121,7 +114,7 @@ type PerfStats struct {
 	// CreditDefers counts zero-credit boundary link decisions: the port
 	// waited for the downstream shard's pops-done mark and re-read
 	// exact occupancy inside the pass. The deterministic measure of
-	// residual cross-shard coupling (successor of SerialReplayVisits).
+	// residual cross-shard coupling.
 	CreditDefers uint64
 }
 
@@ -133,7 +126,6 @@ func (n *Network) Perf() PerfStats {
 		SkippedCycles:         n.skipped,
 		LiveStateBytes:        n.LiveStateBytes(),
 		Barriers:              n.barriers,
-		SerialReplayVisits:    n.sreplays,
 		SpeculativeDeliveries: n.specs,
 		CreditDefers:          n.cdefers,
 	}
@@ -141,18 +133,10 @@ func (n *Network) Perf() PerfStats {
 
 // ActiveNodes reports how many routers currently hold buffered flits
 // (input or output side) — the instantaneous worklist load the active
-// engine's cycle cost is proportional to. The sweep engine does not
-// maintain the occupancy masks, so it falls back to walking the
-// buffers.
+// engine's cycle cost is proportional to.
 func (n *Network) ActiveNodes() int {
 	c := 0
 	for _, r := range n.routers {
-		if n.engine == EngineSweep {
-			if r.bufferedFlits() > 0 {
-				c++
-			}
-			continue
-		}
 		if r.inOcc.any() || r.outOcc.any() {
 			c++
 		}

@@ -16,8 +16,7 @@ import (
 // contiguous shards and executes the whole cycle — ejection, switch
 // traversal + injection, link traversal — as ONE fused shard-local pass
 // per worker, meeting a single barrier per cycle, while producing
-// results bit-identical to EngineActive (and hence EngineSweep) at
-// every shard count.
+// results bit-identical to EngineActive at every shard count.
 //
 // The fusion rests on the conservative-PDES lookahead of the model: a
 // cross-shard effect (a link traversal into another shard's input
@@ -45,12 +44,12 @@ import (
 //     the downstream shard publishes that all its pops of the pass are
 //     done (popsDone, stored between its switch+inject and link
 //     phases) and then re-reads exact occupancy, which is precisely
-//     the check the serial link sweep performs. Both outcomes
+//     the check the serial link stage performs. Both outcomes
 //     reproduce the serial decision bit-exactly, and neither involves
 //     the serial section: the cycle-end replay of deferred boundary
-//     ports that predated credits is gone (SerialReplayVisits is
-//     retired at 0 and gated there). The two outcomes are counted by
-//     the SpeculativeDeliveries and CreditDefers perf counters.
+//     ports that predated credits is gone. The two outcomes are
+//     counted by the SpeculativeDeliveries and CreditDefers perf
+//     counters.
 //   - Cross-shard link DELIVERY: the departing flit is appended to a
 //     per-shard-pair mailbox (outbox, one writer and one reader per
 //     pair, preallocated). The RECEIVING shard drains its inboxes
@@ -783,7 +782,7 @@ func (n *Network) parLink(s *parShard, g uint64) {
 // departs on the spot; a zero count means the owner's pops this cycle
 // decide, so the port waits for the downstream shard's popsDone mark
 // and re-reads exact occupancy — the identical check the serial link
-// sweep performs, now resolved inside the pass instead of a cycle-end
+// stage performs, now resolved inside the pass instead of a cycle-end
 // serial replay. Either way the delivery itself travels through the
 // pair mailbox (pushing into a foreign shard's bookkeeping directly
 // would race with its own pass) and is drained by the receiving shard

@@ -324,8 +324,6 @@ func TestParallelInvariantsCatchCorruption(t *testing.T) {
 // The synchronization budget is the tentpole's gated claim: an open-loop
 // multi-shard cycle costs exactly ONE barrier, an OnEject cycle exactly
 // two (the ejection split), and the single-shard decomposition none.
-// SerialReplayVisits must stay zero now that the credit discipline
-// resolves every boundary decision inside the pass.
 func TestParallelBarrierCounters(t *testing.T) {
 	s := topology.MustSpidergon(16)
 	par := newParallelNet(t, s, routing.NewSpidergonRouting(s), DefaultConfig(), 4)
@@ -578,7 +576,6 @@ func TestMailboxBurstGrowthAndSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetPooling(true)
 	net.SetShards(2) // cut between rows 3 and 4: 8 links per direction
 	net.SetEngine(EngineParallel)
 	t.Cleanup(net.StopWorkers)
@@ -694,8 +691,8 @@ func FuzzCrossShardMailbox(f *testing.F) {
 // cross-cut worms exhaust credits constantly and the engine lives on
 // the zero-credit defer path (point-to-point pops-done wait + exact
 // re-read). The storm must stay bit-identical to the serial reference,
-// record a substantial CreditDefers count, keep SerialReplayVisits at
-// zero, and still cross exactly one barrier per cycle.
+// record a substantial CreditDefers count, and still cross exactly one
+// barrier per cycle.
 func TestParallelZeroCreditStorm(t *testing.T) {
 	m := topology.MustMesh(8, 8)
 	cfg := DefaultConfig() // InBufCap 1: single-credit boundary ports
@@ -734,9 +731,6 @@ func TestParallelZeroCreditStorm(t *testing.T) {
 	if perf.SpeculativeDeliveries == 0 {
 		t.Fatal("storm recorded no speculative deliveries — credits never granted")
 	}
-	if perf.SerialReplayVisits != 0 {
-		t.Fatalf("SerialReplayVisits = %d, want 0 (retired by the credit discipline)", perf.SerialReplayVisits)
-	}
 	if perf.Barriers != cycles {
 		t.Fatalf("barriers = %d over %d cycles, want exactly 1/cycle under storm", perf.Barriers, cycles)
 	}
@@ -747,11 +741,10 @@ func TestParallelZeroCreditStorm(t *testing.T) {
 
 // FuzzCreditSnapshot drives random fabrics and loads through the
 // credit-based engine with deliberately tight, fuzzed buffer depths,
-// holding it to (a) fingerprint equality with the serial reference, (b)
-// the credit conservation invariants — snapshot credits equal free
+// holding it to (a) fingerprint equality with the serial reference and
+// (b) the credit conservation invariants — snapshot credits equal free
 // downstream slots at every cycle boundary, no overdraft, mailboxes
-// drained — via CheckConservation at every probe, and (c) a permanently
-// zero SerialReplayVisits counter.
+// drained — via CheckConservation at every probe.
 func FuzzCreditSnapshot(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(2), uint8(230))
 	f.Add(uint64(3), uint8(0), uint8(4), uint8(255))
@@ -813,9 +806,6 @@ func FuzzCreditSnapshot(f *testing.F) {
 		}
 		if fa, fb := stateFingerprint(ref), stateFingerprint(par); fa != fb {
 			t.Fatalf("engines diverged (%d shards):\nactive:   %s\nparallel: %s", par.Shards(), fa, fb)
-		}
-		if got := par.Perf().SerialReplayVisits; got != 0 {
-			t.Fatalf("SerialReplayVisits = %d, want 0", got)
 		}
 		if err := par.CheckConservation(); err != nil {
 			t.Fatal(err)

@@ -6,21 +6,8 @@ import (
 
 	"gonoc/internal/routing"
 	"gonoc/internal/sim"
-	"gonoc/internal/stats"
 	"gonoc/internal/topology"
 )
-
-// poolNet builds a spidergon network for pool tests.
-func poolNet(t *testing.T, pooling bool) *Network {
-	t.Helper()
-	s := topology.MustSpidergon(16)
-	net, err := NewNetwork(s, routing.NewSpidergonRouting(s), DefaultConfig(), stats.NewCollector(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.SetPooling(pooling)
-	return net
-}
 
 // drive injects a deterministic random stream for the given cycles.
 func drive(t *testing.T, net *Network, cycles int, seed uint64) {
@@ -43,7 +30,7 @@ func drive(t *testing.T, net *Network, cycles int, seed uint64) {
 // must hold its whole population there: created == pool size, with the
 // conservation check (which now includes the pool accounting) clean.
 func TestPoolRecyclesEveryEjectedPacket(t *testing.T) {
-	net := poolNet(t, true)
+	net := newSpidergonNet(t, 16, DefaultConfig())
 	drive(t, net, 2000, 3)
 	if err := net.Drain(10000); err != nil {
 		t.Fatal(err)
@@ -69,7 +56,7 @@ func TestPoolRecyclesEveryEjectedPacket(t *testing.T) {
 // structures stay near the in-flight high-water mark, far below the
 // created count.
 func TestPoolBoundsPacketPopulation(t *testing.T) {
-	net := poolNet(t, true)
+	net := newSpidergonNet(t, 16, DefaultConfig())
 	drive(t, net, 6000, 5)
 	if err := net.Drain(10000); err != nil {
 		t.Fatal(err)
@@ -88,7 +75,7 @@ func TestPoolBoundsPacketPopulation(t *testing.T) {
 // The conservation checker must flag a leaked packet (ejected without a
 // recycle).
 func TestCheckConservationCatchesPoolLeak(t *testing.T) {
-	net := poolNet(t, true)
+	net := newSpidergonNet(t, 16, DefaultConfig())
 	drive(t, net, 1000, 7)
 	if err := net.Drain(10000); err != nil {
 		t.Fatal(err)
@@ -105,7 +92,7 @@ func TestCheckConservationCatchesPoolLeak(t *testing.T) {
 // forms: a pool entry appearing twice, and a pooled (free) packet still
 // referenced by a live queue or buffer.
 func TestCheckConservationCatchesDoubleFree(t *testing.T) {
-	net := poolNet(t, true)
+	net := newSpidergonNet(t, 16, DefaultConfig())
 	drive(t, net, 1000, 9)
 	if err := net.Drain(10000); err != nil {
 		t.Fatal(err)
@@ -147,7 +134,7 @@ func TestCheckConservationCatchesDoubleFree(t *testing.T) {
 // Recycling the same lease twice is an engine bug and must panic rather
 // than corrupt the pool.
 func TestDoubleRecyclePanics(t *testing.T) {
-	net := poolNet(t, true)
+	net := newSpidergonNet(t, 16, DefaultConfig())
 	if err := net.Inject(0, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -161,50 +148,27 @@ func TestDoubleRecyclePanics(t *testing.T) {
 	net.recyclePacket(pi)
 }
 
-// SetPooling is a construction/Reset-time decision: retoggling with
-// packets outstanding would break the accounting and must panic.
-func TestSetPoolingMidRunPanics(t *testing.T) {
-	net := poolNet(t, true)
-	if err := net.Inject(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetPooling with packets outstanding did not panic")
-		}
-	}()
-	net.SetPooling(false)
-}
-
-// Pool on and pool off must be indistinguishable cycle for cycle: same
-// injections, same fingerprints throughout, under both engines.
+// Recycling must be invisible cycle for cycle: the pooled network
+// reproduces the frozen fingerprint sequence the reference recorded with
+// pooling off, where every packet had a record of its own.
 func TestPoolOnOffBitIdentical(t *testing.T) {
-	for _, eng := range []Engine{EngineActive, EngineSweep} {
-		pooled := poolNet(t, true)
-		bare := poolNet(t, false)
-		pooled.SetEngine(eng)
-		bare.SetEngine(eng)
-		rng := sim.NewRNG(21)
-		for c := 0; c < 3000; c++ {
-			if rng.Bernoulli(0.35) {
-				src, dst := rng.Intn(16), rng.Intn(16)
-				if src != dst {
-					_ = pooled.Inject(src, dst)
-					_ = bare.Inject(src, dst)
-				}
-			}
-			pooled.Step()
-			bare.Step()
-			if fp, fb := stateFingerprint(pooled), stateFingerprint(bare); fp != fb {
-				t.Fatalf("%v: pooling diverged at cycle %d:\npooled: %s\nbare:   %s", eng, c, fp, fb)
+	s := topology.MustSpidergon(16)
+	n := goldenNet(t, s, routing.NewSpidergonRouting(s), DefaultConfig())
+	fp := newFingerprints()
+	rng := sim.NewRNG(21)
+	for c := 0; c < 3000; c++ {
+		if rng.Bernoulli(0.35) {
+			src, dst := rng.Intn(16), rng.Intn(16)
+			if src != dst {
+				_ = n.Inject(src, dst)
 			}
 		}
-		if err := pooled.CheckConservation(); err != nil {
-			t.Fatal(err)
-		}
-		if err := bare.CheckConservation(); err != nil {
-			t.Fatal(err)
-		}
+		n.Step()
+		fp.add(n)
+	}
+	checkGolden(t, "pool-on-off", fp.sum())
+	if err := n.CheckConservation(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -212,7 +176,7 @@ func TestPoolOnOffBitIdentical(t *testing.T) {
 // and leave the network running the next workload exactly like a fresh
 // twin with a cold pool.
 func TestResetReclaimsAndReplaysIdentically(t *testing.T) {
-	reused := poolNet(t, true)
+	reused := newSpidergonNet(t, 16, DefaultConfig())
 	// First workload, stopped mid-flight so buffers and queues are full.
 	drive(t, reused, 1500, 31)
 	if reused.InFlightFlits() == 0 && reused.QueuedPackets() == 0 {
@@ -230,7 +194,7 @@ func TestResetReclaimsAndReplaysIdentically(t *testing.T) {
 		t.Fatal("Reset left residual state")
 	}
 
-	fresh := poolNet(t, true)
+	fresh := newSpidergonNet(t, 16, DefaultConfig())
 	drive(t, reused, 2000, 77)
 	drive(t, fresh, 2000, 77)
 	if fr, ff := stateFingerprint(reused), stateFingerprint(fresh); fr != ff {

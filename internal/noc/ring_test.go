@@ -161,7 +161,7 @@ func TestConfigValidateBufferCapBounds(t *testing.T) {
 // equal cycle+1 in the next, and the reset network then replays a
 // workload exactly like a fresh twin.
 func TestResetClearsStageStamps(t *testing.T) {
-	reused := poolNet(t, true)
+	reused := newSpidergonNet(t, 16, DefaultConfig())
 	drive(t, reused, 1500, 31)
 	if reused.InFlightFlits() == 0 {
 		t.Fatal("first workload left no flit in a buffer")
@@ -186,7 +186,7 @@ func TestResetClearsStageStamps(t *testing.T) {
 	}
 	// The second workload runs past the cycle the first one stopped at,
 	// so every stamp the first left behind is met again.
-	fresh := poolNet(t, true)
+	fresh := newSpidergonNet(t, 16, DefaultConfig())
 	drive(t, reused, 2000, 77)
 	drive(t, fresh, 2000, 77)
 	if fr, ff := stateFingerprint(reused), stateFingerprint(fresh); fr != ff {

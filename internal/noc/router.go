@@ -147,12 +147,12 @@ type outVC struct {
 	owner int32
 }
 
-// outPort is one physical output channel with its VC queues and the
-// round-robin pointer arbitrating them onto the link.
+// outPort is one physical output channel with its VC queues, which
+// share the link round-robin (the rotation is derived from the cycle,
+// see activeLink).
 type outPort struct {
 	ch       topology.Channel
 	vcs      []outVC
-	rr       int // next VC to consider for link traversal
 	slotBase int // bit index of vcs[0] in the router's strided slot masks
 
 	// peer and peerRouter cache the downstream input port and router of
@@ -205,16 +205,14 @@ type router struct {
 	node int
 	in   []inPort  // indexed like topology.In(node)
 	out  []outPort // indexed like topology.Out(node)
-	rrIn int       // round-robin start for switch allocation
-	rrEj int       // round-robin start for the ejection port
 
 	// Slot-occupancy masks for the activity-driven engine, one bit per
 	// strided (port, VC) slot (see slotMask for the layout). inOcc
 	// marks non-empty input slots; ejOcc the subset whose head flit is
 	// destined to this node (so the switch stage skips them and the
 	// ejection stage finds them without scanning); outOcc marks
-	// non-empty output queues. The sweep engine ignores them; SetEngine
-	// rebuilds them from the buffers.
+	// non-empty output queues. SetEngine rebuilds them from the
+	// buffers.
 	inOcc  slotMask
 	ejOcc  slotMask
 	outOcc slotMask

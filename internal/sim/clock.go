@@ -92,8 +92,7 @@ func (t *Ticker) Cycle() uint64 { return t.cycle }
 
 // Fire implements Handler: the ticker schedules itself through the
 // kernel's pooled event records, so a clocked simulation pays zero
-// allocations per cycle (the seed ticker allocated one event and one
-// captured closure per tick).
+// allocations per cycle.
 func (t *Ticker) Fire(int) { t.tick() }
 
 func (t *Ticker) tick() {

@@ -38,13 +38,15 @@ func TestScheduleEventDispatchOrder(t *testing.T) {
 	}
 }
 
+// Closures ride the same path wrapped as handlers (call), interleaving
+// with other handlers by time and then insertion order.
 func TestScheduleEventInterleavesWithClosures(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	r := &recorder{k: k}
-	k.Schedule(1, func() { order = append(order, "fn") })
+	k.ScheduleEvent(1, 0, call(func() { order = append(order, "fn") }), 0)
 	k.ScheduleEvent(1, 0, r, 1)
-	k.Schedule(2, func() { order = append(order, "fn2") })
+	k.ScheduleEvent(2, 0, call(func() { order = append(order, "fn2") }), 0)
 	k.Run()
 	// Same time, insertion order: closure first, then handler.
 	if len(order) != 2 || order[0] != "fn" || len(r.fired) != 1 {
@@ -95,45 +97,6 @@ func TestCancelPooledEventPreventsFiring(t *testing.T) {
 	}
 }
 
-func TestReschedulePendingHandlerEvent(t *testing.T) {
-	k := NewKernel()
-	r := &recorder{k: k}
-	e := k.ScheduleEvent(5, 0, r, 1)
-	k.Reschedule(e, 9)
-	k.Run()
-	if k.Now() != 9 || len(r.fired) != 1 {
-		t.Fatalf("now=%v fired=%v", k.Now(), r.fired)
-	}
-}
-
-// Cancel-then-reschedule is part of Reschedule's contract and must work
-// for handler events too (their cancelled records are never recycled,
-// so re-arming is safe).
-func TestRescheduleCancelledHandlerEvent(t *testing.T) {
-	k := NewKernel()
-	r := &recorder{k: k}
-	e := k.ScheduleEvent(5, 0, r, 3)
-	k.Cancel(e)
-	k.Reschedule(e, 7)
-	k.Run()
-	if k.Now() != 7 || len(r.fired) != 1 || r.fired[0] != 3 {
-		t.Fatalf("now=%v fired=%v, want one firing of arg 3 at t=7", k.Now(), r.fired)
-	}
-}
-
-func TestRescheduleFiredHandlerEventPanics(t *testing.T) {
-	k := NewKernel()
-	r := &recorder{k: k}
-	e := k.ScheduleEvent(1, 0, r, 1)
-	k.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rescheduling a fired handler event did not panic")
-		}
-	}()
-	k.Reschedule(e, 5)
-}
-
 func TestScheduleEventNilHandlerPanics(t *testing.T) {
 	k := NewKernel()
 	defer func() {
@@ -152,7 +115,7 @@ func TestKernelResetReplaysIdentically(t *testing.T) {
 	run := func() (Time, uint64, []int) {
 		r := &recorder{k: k, chain: 10}
 		k.ScheduleEvent(0.5, 0, r, 1)
-		k.Schedule(2, func() {})
+		k.ScheduleEvent(2, 0, call(func() {}), 0)
 		k.Run()
 		return k.Now(), k.Processed(), r.fired
 	}

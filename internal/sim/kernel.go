@@ -15,12 +15,12 @@ type Time float64
 // Infinity is a time later than any schedulable event.
 const Infinity Time = Time(math.MaxFloat64)
 
-// Handler is the closure-free event target of the hot path: instead of
-// scheduling a captured func() — one heap allocation per event — a
-// component implements Handler once and schedules (handler, arg) pairs
-// through ScheduleEvent. The arg is an opaque payload the handler gave
-// the kernel at scheduling time, typically a node index, so one handler
-// object serves every per-node event stream of a model.
+// Handler is the event target: a component implements Handler once and
+// schedules (handler, arg) pairs through ScheduleEvent, so an event
+// costs no captured closure and no heap allocation. The arg is an
+// opaque payload the handler gave the kernel at scheduling time,
+// typically a node index, so one handler object serves every per-node
+// event stream of a model.
 type Handler interface {
 	// Fire runs the event. The kernel clock already shows the event's
 	// time when Fire is invoked.
@@ -35,10 +35,8 @@ type Event struct {
 	priority int
 	seq      uint64
 	index    int // heap index, -1 when not queued
-	fn       func()
 	h        Handler
 	arg      int
-	pooled   bool // record owned by the kernel freelist (handler API)
 	canceled bool
 }
 
@@ -97,12 +95,9 @@ type Kernel struct {
 	running   bool
 	stopped   bool
 
-	// free is the recycled-record list of the handler API: events
-	// scheduled through ScheduleEvent return here when they fire or are
-	// cancelled, so a steady-state simulation schedules events without
-	// allocating. Closure events (Schedule) are excluded — their *Event
-	// may be retained and re-armed by callers (Reschedule after firing),
-	// which a recycled record could not support safely.
+	// free is the recycled-record list: an event record returns here
+	// when it fires (or when Reset drops it from the queue), so a
+	// steady-state simulation schedules events without allocating.
 	free []*Event
 }
 
@@ -120,43 +115,17 @@ func (k *Kernel) Pending() int { return len(k.queue) }
 // Processed returns the total number of events dispatched so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
-// Schedule enqueues fn to run at absolute time t with priority 0.
-// It panics if t is earlier than the current time: scheduling into the
-// past is always a model bug and silently reordering it would corrupt
-// causality.
-func (k *Kernel) Schedule(t Time, fn func()) *Event {
-	return k.ScheduleWithPriority(t, 0, fn)
-}
-
-// ScheduleAfter enqueues fn to run delay time units from now.
-func (k *Kernel) ScheduleAfter(delay Time, fn func()) *Event {
-	return k.Schedule(k.now+delay, fn)
-}
-
-// ScheduleWithPriority enqueues fn at absolute time t with the given
-// priority. Lower priorities run first among events at the same time.
-func (k *Kernel) ScheduleWithPriority(t Time, priority int, fn func()) *Event {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling into the past (now=%v, t=%v)", k.now, t))
-	}
-	if fn == nil {
-		panic("sim: scheduling a nil event function")
-	}
-	e := &Event{time: t, priority: priority, seq: k.seq, fn: fn, index: -1}
-	k.seq++
-	heap.Push(&k.queue, e)
-	return e
-}
-
 // ScheduleEvent enqueues a (handler, arg) pair to fire at absolute time
-// t with the given priority — the closure-free, allocation-free
-// counterpart of ScheduleWithPriority. The event record is drawn from
+// t with the given priority; lower priorities run first among events at
+// the same time. It panics if t is earlier than the current time:
+// scheduling into the past is always a model bug and silently
+// reordering it would corrupt causality. The event record is drawn from
 // the kernel's freelist and returns there when the event fires, so the
-// returned *Event is only valid while the event is pending: Cancel or
-// Reschedule it before it fires, never after (the record may already
-// describe a different event). Holding it across a firing is the one
-// misuse the pool cannot detect; every in-module scheduler drops its
-// reference when the event dispatches.
+// returned *Event is only valid while the event is pending: Cancel it
+// before it fires, never after (the record may already describe a
+// different event). Holding it across a firing is the one misuse the
+// pool cannot detect; every in-module scheduler drops its reference
+// when the event dispatches.
 func (k *Kernel) ScheduleEvent(t Time, priority int, h Handler, arg int) *Event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (now=%v, t=%v)", k.now, t))
@@ -172,26 +141,25 @@ func (k *Kernel) ScheduleEvent(t Time, priority int, h Handler, arg int) *Event 
 	} else {
 		e = &Event{}
 	}
-	*e = Event{time: t, priority: priority, seq: k.seq, h: h, arg: arg, pooled: true, index: -1}
+	*e = Event{time: t, priority: priority, seq: k.seq, h: h, arg: arg, index: -1}
 	k.seq++
 	heap.Push(&k.queue, e)
 	return e
 }
 
-// release returns a pooled record to the freelist. The caller must have
+// release returns a record to the freelist. The caller must have
 // removed it from the queue already.
 func (k *Kernel) release(e *Event) {
 	*e = Event{index: -1}
 	k.free = append(k.free, e)
 }
 
-// Cancel removes a pending event; cancelling an already-cancelled
-// event (or a closure event that already fired) is a no-op. A
-// cancelled pooled record is deliberately NOT recycled — it is dropped
-// to the garbage collector — so double-cancelling a handler event
-// stays harmless; the one remaining misuse is cancelling a handler
-// event after it fired, when the record may already describe a
-// different pending event (see ScheduleEvent).
+// Cancel removes a pending event; cancelling an already-cancelled event
+// is a no-op. A cancelled record is deliberately NOT recycled — it is
+// dropped to the garbage collector — so double-cancelling stays
+// harmless; the one remaining misuse is cancelling an event after it
+// fired, when the record may already describe a different pending
+// event (see ScheduleEvent).
 func (k *Kernel) Cancel(e *Event) {
 	if e == nil || e.canceled {
 		return
@@ -200,35 +168,6 @@ func (k *Kernel) Cancel(e *Event) {
 	if e.index >= 0 {
 		heap.Remove(&k.queue, e.index)
 	}
-}
-
-// Reschedule moves a pending event to a new time, preserving its
-// priority. If the event already fired or was cancelled a fresh event
-// is created with the same target — except a handler event that
-// already fired, whose record is back on the freelist (possibly
-// reused): re-arming it cannot be done safely and panics.
-func (k *Kernel) Reschedule(e *Event, t Time) *Event {
-	if e == nil {
-		panic("sim: rescheduling a nil event")
-	}
-	if t < k.now {
-		panic(fmt.Sprintf("sim: rescheduling into the past (now=%v, t=%v)", k.now, t))
-	}
-	if e.Scheduled() {
-		e.time = t
-		heap.Fix(&k.queue, e.index)
-		return e
-	}
-	if e.h != nil {
-		// A cancelled handler event: Cancel deliberately does not
-		// recycle pooled records, so the target is intact and a fresh
-		// event can be armed from it.
-		return k.ScheduleEvent(t, e.priority, e.h, e.arg)
-	}
-	if e.fn == nil {
-		panic("sim: rescheduling a handler event that already fired")
-	}
-	return k.ScheduleWithPriority(t, e.priority, e.fn)
 }
 
 // Step dispatches the single earliest event. It returns false when the
@@ -244,15 +183,11 @@ func (k *Kernel) Step() bool {
 		}
 		k.now = e.time
 		k.processed++
-		if e.h != nil {
-			// Copy the target out and recycle the record before firing,
-			// so the handler's own rescheduling reuses it immediately.
-			h, arg := e.h, e.arg
-			k.release(e)
-			h.Fire(arg)
-		} else {
-			e.fn()
-		}
+		// Copy the target out and recycle the record before firing, so
+		// the handler's own rescheduling reuses it immediately.
+		h, arg := e.h, e.arg
+		k.release(e)
+		h.Fire(arg)
 		return true
 	}
 	return false
@@ -305,17 +240,14 @@ func (k *Kernel) NextEventTime() Time {
 
 // Reset returns the kernel to its just-constructed state — clock at
 // zero, empty future-event list, sequence and processed counters
-// cleared — while keeping the queue's backing array and the pooled
-// event records for reuse. A reset kernel runs a fresh simulation bit
+// cleared — while keeping the queue's backing array and the event
+// records for reuse. A reset kernel runs a fresh simulation bit
 // for bit like a new one; campaign replications reuse one kernel this
 // way instead of rebuilding it per run.
 func (k *Kernel) Reset() {
 	for i, e := range k.queue {
 		k.queue[i] = nil
-		e.index = -1
-		if e.pooled {
-			k.release(e)
-		}
+		k.release(e)
 	}
 	k.queue = k.queue[:0]
 	k.now = 0

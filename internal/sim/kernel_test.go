@@ -7,6 +7,12 @@ import (
 	"testing/quick"
 )
 
+// call adapts a func to Handler so the ordering tests can schedule
+// inline bodies; the arg is ignored.
+type call func()
+
+func (c call) Fire(int) { c() }
+
 func TestKernelStartsAtZero(t *testing.T) {
 	k := NewKernel()
 	if k.Now() != 0 {
@@ -21,8 +27,7 @@ func TestScheduleAndRunOrdersByTime(t *testing.T) {
 	k := NewKernel()
 	var got []Time
 	for _, tm := range []Time{5, 1, 3, 2, 4} {
-		tm := tm
-		k.Schedule(tm, func() { got = append(got, k.Now()) })
+		k.ScheduleEvent(tm, 0, call(func() { got = append(got, k.Now()) }), 0)
 	}
 	k.Run()
 	want := []Time{1, 2, 3, 4, 5}
@@ -40,8 +45,7 @@ func TestSameTimeEventsRunInInsertionOrder(t *testing.T) {
 	k := NewKernel()
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
-		k.Schedule(7, func() { got = append(got, i) })
+		k.ScheduleEvent(7, 0, call(func() { got = append(got, i) }), 0)
 	}
 	k.Run()
 	for i, v := range got {
@@ -54,9 +58,9 @@ func TestSameTimeEventsRunInInsertionOrder(t *testing.T) {
 func TestPriorityOrdersSameTimeEvents(t *testing.T) {
 	k := NewKernel()
 	var got []string
-	k.ScheduleWithPriority(1, 5, func() { got = append(got, "low") })
-	k.ScheduleWithPriority(1, -5, func() { got = append(got, "high") })
-	k.ScheduleWithPriority(1, 0, func() { got = append(got, "mid") })
+	k.ScheduleEvent(1, 5, call(func() { got = append(got, "low") }), 0)
+	k.ScheduleEvent(1, -5, call(func() { got = append(got, "high") }), 0)
+	k.ScheduleEvent(1, 0, call(func() { got = append(got, "mid") }), 0)
 	k.Run()
 	if len(got) != 3 || got[0] != "high" || got[1] != "mid" || got[2] != "low" {
 		t.Fatalf("priority order = %v", got)
@@ -65,42 +69,20 @@ func TestPriorityOrdersSameTimeEvents(t *testing.T) {
 
 func TestSchedulingIntoPastPanics(t *testing.T) {
 	k := NewKernel()
-	k.Schedule(10, func() {})
+	k.ScheduleEvent(10, 0, call(func() {}), 0)
 	k.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling into the past did not panic")
 		}
 	}()
-	k.Schedule(5, func() {})
-}
-
-func TestScheduleNilFnPanics(t *testing.T) {
-	k := NewKernel()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil event function did not panic")
-		}
-	}()
-	k.Schedule(1, nil)
-}
-
-func TestScheduleAfter(t *testing.T) {
-	k := NewKernel()
-	var at Time = -1
-	k.Schedule(3, func() {
-		k.ScheduleAfter(4, func() { at = k.Now() })
-	})
-	k.Run()
-	if at != 7 {
-		t.Fatalf("ScheduleAfter fired at %v, want 7", at)
-	}
+	k.ScheduleEvent(5, 0, call(func() {}), 0)
 }
 
 func TestCancelPreventsExecution(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	e := k.Schedule(1, func() { fired = true })
+	e := k.ScheduleEvent(1, 0, call(func() { fired = true }), 0)
 	k.Cancel(e)
 	k.Run()
 	if fired {
@@ -113,7 +95,7 @@ func TestCancelPreventsExecution(t *testing.T) {
 
 func TestCancelIsIdempotentAndNilSafe(t *testing.T) {
 	k := NewKernel()
-	e := k.Schedule(1, func() {})
+	e := k.ScheduleEvent(1, 0, call(func() {}), 0)
 	k.Cancel(e)
 	k.Cancel(e)
 	k.Cancel(nil)
@@ -124,37 +106,11 @@ func TestCancelDuringRun(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	var victim *Event
-	k.Schedule(1, func() { k.Cancel(victim) })
-	victim = k.Schedule(2, func() { fired = true })
+	k.ScheduleEvent(1, 0, call(func() { k.Cancel(victim) }), 0)
+	victim = k.ScheduleEvent(2, 0, call(func() { fired = true }), 0)
 	k.Run()
 	if fired {
 		t.Fatal("event cancelled mid-run still fired")
-	}
-}
-
-func TestReschedulePending(t *testing.T) {
-	k := NewKernel()
-	var at Time
-	e := k.Schedule(10, func() { at = k.Now() })
-	k.Reschedule(e, 3)
-	k.Run()
-	if at != 3 {
-		t.Fatalf("rescheduled event fired at %v, want 3", at)
-	}
-}
-
-func TestRescheduleFiredEventCreatesNew(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	e := k.Schedule(1, func() { count++ })
-	k.Run()
-	e2 := k.Reschedule(e, 5)
-	if e2 == e {
-		t.Fatal("rescheduling a fired event returned the same event")
-	}
-	k.Run()
-	if count != 2 {
-		t.Fatalf("event ran %d times, want 2", count)
 	}
 }
 
@@ -162,8 +118,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
 	for _, tm := range []Time{1, 2, 3, 10} {
-		tm := tm
-		k.Schedule(tm, func() { fired = append(fired, tm) })
+		k.ScheduleEvent(tm, 0, call(func() { fired = append(fired, tm) }), 0)
 	}
 	end := k.RunUntil(5)
 	if end != 5 {
@@ -185,7 +140,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 func TestRunUntilInclusiveOfDeadline(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	k.Schedule(5, func() { fired = true })
+	k.ScheduleEvent(5, 0, call(func() { fired = true }), 0)
 	k.RunUntil(5)
 	if !fired {
 		t.Fatal("event exactly at deadline did not fire")
@@ -195,15 +150,15 @@ func TestRunUntilInclusiveOfDeadline(t *testing.T) {
 func TestStopHaltsRun(t *testing.T) {
 	k := NewKernel()
 	count := 0
-	var sched func()
+	var sched call
 	sched = func() {
 		count++
 		if count == 100 {
 			k.Stop()
 		}
-		k.ScheduleAfter(1, sched)
+		k.ScheduleEvent(k.Now()+1, 0, sched, 0)
 	}
-	k.Schedule(0, sched)
+	k.ScheduleEvent(0, 0, sched, 0)
 	k.Run()
 	if count != 100 {
 		t.Fatalf("ran %d events after Stop, want exactly 100", count)
@@ -218,7 +173,7 @@ func TestNextEventTime(t *testing.T) {
 	if k.NextEventTime() != Infinity {
 		t.Fatal("empty kernel NextEventTime != Infinity")
 	}
-	k.Schedule(42, func() {})
+	k.ScheduleEvent(42, 0, call(func() {}), 0)
 	if k.NextEventTime() != 42 {
 		t.Fatalf("NextEventTime = %v, want 42", k.NextEventTime())
 	}
@@ -227,7 +182,7 @@ func TestNextEventTime(t *testing.T) {
 func TestProcessedCounts(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 17; i++ {
-		k.Schedule(Time(i), func() {})
+		k.ScheduleEvent(Time(i), 0, call(func() {}), 0)
 	}
 	k.Run()
 	if k.Processed() != 17 {
@@ -238,14 +193,14 @@ func TestProcessedCounts(t *testing.T) {
 func TestEventsScheduledDuringExecutionRun(t *testing.T) {
 	k := NewKernel()
 	depth := 0
-	var recurse func()
+	var recurse call
 	recurse = func() {
 		depth++
 		if depth < 50 {
-			k.ScheduleAfter(1, recurse)
+			k.ScheduleEvent(k.Now()+1, 0, recurse, 0)
 		}
 	}
-	k.Schedule(0, recurse)
+	k.ScheduleEvent(0, 0, recurse, 0)
 	k.Run()
 	if depth != 50 {
 		t.Fatalf("recursion depth = %d, want 50", depth)
@@ -262,8 +217,7 @@ func TestPropertyDispatchOrderSorted(t *testing.T) {
 		k := NewKernel()
 		var got []Time
 		for _, v := range raw {
-			tm := Time(v)
-			k.Schedule(tm, func() { got = append(got, k.Now()) })
+			k.ScheduleEvent(Time(v), 0, call(func() { got = append(got, k.Now()) }), 0)
 		}
 		k.Run()
 		if len(got) != len(raw) {
@@ -288,7 +242,7 @@ func TestPropertyRunUntilBoundary(t *testing.T) {
 			if tm <= deadline {
 				want++
 			}
-			k.Schedule(tm, func() {})
+			k.ScheduleEvent(tm, 0, call(func() {}), 0)
 		}
 		k.RunUntil(deadline)
 		return int(k.Processed()) == want && k.Now() <= deadline+1e-9
@@ -351,7 +305,7 @@ func TestTickerSameTimeEventBeforeTick(t *testing.T) {
 		}
 	})
 	tk.Start()
-	k.Schedule(3, func() { arrived = true })
+	k.ScheduleEvent(3, 0, call(func() { arrived = true }), 0)
 	k.RunUntil(5)
 	if !seenAtTick {
 		t.Fatal("same-time ordinary event ran after the tick")
@@ -550,15 +504,15 @@ func TestPoissonProcessRateViaKernel(t *testing.T) {
 	const lambda = 0.2
 	const horizon = 500000.0
 	count := 0
-	var arrive func()
+	var arrive call
 	arrive = func() {
 		count++
 		d := Time(r.Exp(lambda))
 		if float64(k.Now())+float64(d) < horizon {
-			k.ScheduleAfter(d, arrive)
+			k.ScheduleEvent(k.Now()+d, 0, arrive, 0)
 		}
 	}
-	k.ScheduleAfter(Time(r.Exp(lambda)), arrive)
+	k.ScheduleEvent(Time(r.Exp(lambda)), 0, arrive, 0)
 	k.Run()
 	got := float64(count) / horizon
 	if math.Abs(got-lambda) > 0.03*lambda {

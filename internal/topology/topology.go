@@ -36,7 +36,9 @@ const (
 	DirCount
 )
 
-var dirNames = map[Direction]string{
+// dirNames is indexed by Direction; the array length ties it to the
+// enum, so a direction added without a name renders as "".
+var dirNames = [DirCount]string{
 	DirInvalid:          "invalid",
 	DirClockwise:        "cw",
 	DirCounterClockwise: "ccw",
@@ -49,10 +51,11 @@ var dirNames = map[Direction]string{
 	DirChordBack:        "chord-back",
 }
 
-// String returns the lowercase conventional name of the direction.
+// String returns the lowercase conventional name of the direction, or
+// direction(n) outside the enum.
 func (d Direction) String() string {
-	if s, ok := dirNames[d]; ok {
-		return s
+	if d >= 0 && d < DirCount {
+		return dirNames[d]
 	}
 	return fmt.Sprintf("direction(%d)", int(d))
 }

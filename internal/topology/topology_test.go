@@ -1,43 +1,71 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
 
+// directions lists every Direction in [0, DirCount) with its name and
+// opposite.
+var directions = []struct {
+	d        Direction
+	name     string
+	opposite Direction
+}{
+	{DirInvalid, "invalid", DirInvalid},
+	{DirClockwise, "cw", DirCounterClockwise},
+	{DirCounterClockwise, "ccw", DirClockwise},
+	{DirAcross, "across", DirAcross},
+	{DirEast, "east", DirWest},
+	{DirWest, "west", DirEast},
+	{DirNorth, "north", DirSouth},
+	{DirSouth, "south", DirNorth},
+	{DirChord, "chord", DirChordBack},
+	{DirChordBack, "chord-back", DirChord},
+}
+
+// Every direction of the enum has its own non-empty name, and values
+// outside the enum render as direction(n).
 func TestDirectionString(t *testing.T) {
-	cases := map[Direction]string{
-		DirClockwise: "cw", DirCounterClockwise: "ccw", DirAcross: "across",
-		DirEast: "east", DirWest: "west", DirNorth: "north", DirSouth: "south",
-		DirChord: "chord", DirChordBack: "chord-back", DirInvalid: "invalid",
+	if len(directions) != int(DirCount) {
+		t.Fatalf("table covers %d directions, the enum has %d", len(directions), DirCount)
 	}
-	for d, want := range cases {
-		if d.String() != want {
-			t.Errorf("%v.String() = %q, want %q", int(d), d.String(), want)
+	seen := map[string]bool{}
+	for i, tc := range directions {
+		if tc.d != Direction(i) {
+			t.Fatalf("table row %d holds direction %d", i, int(tc.d))
 		}
+		got := tc.d.String()
+		if got != tc.name {
+			t.Errorf("%d.String() = %q, want %q", i, got, tc.name)
+		}
+		if seen[got] {
+			t.Errorf("name %q is not unique", got)
+		}
+		seen[got] = true
 	}
-	if Direction(99).String() == "" {
-		t.Error("unknown direction renders empty")
+	for _, d := range []Direction{DirCount, -1} {
+		if got, want := d.String(), fmt.Sprintf("direction(%d)", int(d)); got != want {
+			t.Errorf("%d.String() = %q, want %q", int(d), got, want)
+		}
 	}
 }
 
+// Opposite maps every direction into [0, DirCount), and the opposite of
+// the opposite is the direction itself.
 func TestDirectionOpposite(t *testing.T) {
-	pairs := [][2]Direction{
-		{DirClockwise, DirCounterClockwise},
-		{DirEast, DirWest},
-		{DirNorth, DirSouth},
-		{DirChord, DirChordBack},
-	}
-	for _, p := range pairs {
-		if p[0].Opposite() != p[1] || p[1].Opposite() != p[0] {
-			t.Errorf("opposite(%v) mismatch", p[0])
+	for _, tc := range directions {
+		o := tc.d.Opposite()
+		if o != tc.opposite {
+			t.Errorf("%v.Opposite() = %v, want %v", tc.d, o, tc.opposite)
 		}
-	}
-	if DirAcross.Opposite() != DirAcross {
-		t.Error("across should be self-opposite")
-	}
-	if DirInvalid.Opposite() != DirInvalid {
-		t.Error("invalid opposite")
+		if o < 0 || o >= DirCount {
+			t.Errorf("%v.Opposite() = %d, outside [0, DirCount)", tc.d, int(o))
+		}
+		if o.Opposite() != tc.d {
+			t.Errorf("%v.Opposite().Opposite() = %v", tc.d, o.Opposite())
+		}
 	}
 }
 

@@ -31,7 +31,6 @@ type RequestReply struct {
 	rate    float64
 	rngs    []*sim.RNG // per-master streams, indexed by node
 	next    []sim.Time // pre-drawn next-request horizon per master node
-	batch   bool
 
 	isSlave   map[int]bool
 	isMaster  map[int]bool
@@ -60,7 +59,6 @@ func NewRequestReply(k *sim.Kernel, net *noc.Network, masters, slaves []int, rat
 		rate:     rate,
 		rngs:     make([]*sim.RNG, n),
 		next:     make([]sim.Time, n),
-		batch:    true,
 		isSlave:  make(map[int]bool),
 		isMaster: make(map[int]bool),
 		pending:  make(map[uint64]uint64),
@@ -83,15 +81,6 @@ func NewRequestReply(k *sim.Kernel, net *noc.Network, masters, slaves []int, rat
 		rr.rngs[m] = master.Split()
 	}
 	return rr, nil
-}
-
-// SetBatching toggles same-cycle request batching before Start; both
-// modes emit the identical request stream (see Generator.SetBatching).
-func (rr *RequestReply) SetBatching(on bool) {
-	if rr.started {
-		panic("traffic: SetBatching after Start")
-	}
-	rr.batch = on
 }
 
 // Start installs the reply hook and schedules the first request of
@@ -120,7 +109,7 @@ func (rr *RequestReply) Fire(master int) {
 	for {
 		rr.sendRequest(master, r)
 		t += sim.Time(r.Exp(rr.rate))
-		if !rr.batch || arrivalCycle(t) != cycle {
+		if arrivalCycle(t) != cycle {
 			break
 		}
 	}
@@ -208,7 +197,6 @@ type OnOffGenerator struct {
 	state   []onOffState
 	offered uint64
 	started bool
-	batch   bool
 }
 
 // onOffState is one source's Markov state: whether the node is inside a
@@ -227,7 +215,7 @@ func NewOnOffGenerator(k *sim.Kernel, net *noc.Network, p Pattern, shape OnOff, 
 	}
 	n := net.Topology().Nodes()
 	g := &OnOffGenerator{kernel: k, net: net, pattern: p, shape: shape,
-		rngs: make([]*sim.RNG, n), state: make([]onOffState, n), batch: true}
+		rngs: make([]*sim.RNG, n), state: make([]onOffState, n)}
 	master := sim.NewRNG(seed)
 	for i := 0; i < n; i++ {
 		g.rngs[i] = master.Split()
@@ -237,15 +225,6 @@ func NewOnOffGenerator(k *sim.Kernel, net *noc.Network, p Pattern, shape OnOff, 
 
 // OfferedPackets returns the packets generated so far.
 func (g *OnOffGenerator) OfferedPackets() uint64 { return g.offered }
-
-// SetBatching toggles same-cycle arrival batching before Start; both
-// modes emit the identical packet stream (see Generator.SetBatching).
-func (g *OnOffGenerator) SetBatching(on bool) {
-	if g.started {
-		panic("traffic: SetBatching after Start")
-	}
-	g.batch = on
-}
 
 // Start schedules the burst processes. Sources begin in the OFF state.
 func (g *OnOffGenerator) Start() {
@@ -268,7 +247,7 @@ func (g *OnOffGenerator) Start() {
 // emits the due arrival plus every same-cycle follow-up, transitioning
 // back to OFF when the pre-drawn burst end is crossed. All scheduling
 // uses the arrival's own absolute time, so batched emission keeps the
-// exact event times of the unbatched chain.
+// exact event times of a one-event-per-arrival chain.
 func (g *OnOffGenerator) Fire(node int) {
 	r := g.rngs[node]
 	st := &g.state[node]
@@ -294,7 +273,7 @@ func (g *OnOffGenerator) Fire(node int) {
 			_ = g.net.Inject(node, dst)
 		}
 		t += sim.Time(r.Exp(g.shape.PeakRate))
-		if !g.batch || arrivalCycle(t) != cycle {
+		if arrivalCycle(t) != cycle {
 			break
 		}
 	}

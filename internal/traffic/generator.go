@@ -20,11 +20,11 @@ import (
 // sim.Handler and schedules (generator, node) pairs through the
 // kernel's pooled event records, and Poisson arrivals are batched — one
 // kernel event emits every arrival of a source that lands in the same
-// clock cycle (see fire), so a saturated run pays O(sources with work)
-// events per cycle instead of O(arrivals). Batched and unbatched
-// emission produce the identical packet stream (same per-source RNG
-// draw order, same injection cycles, same per-queue order), proven by
-// the determinism tests.
+// clock cycle (see Fire), so a saturated run pays O(sources with work)
+// events per cycle instead of O(arrivals). Batching leaves the packet
+// stream exactly as one event per arrival would produce it (same
+// per-source RNG draw order, same injection cycles, same per-queue
+// order), which the golden tests pin.
 type Generator struct {
 	kernel  *sim.Kernel
 	net     *noc.Network
@@ -42,7 +42,6 @@ type Generator struct {
 	next    []sim.Time
 	offered uint64
 	started bool
-	batch   bool
 }
 
 // Process selects the interarrival model.
@@ -90,7 +89,6 @@ func RenewGenerator(prev *Generator, k *sim.Kernel, net *noc.Network, p Pattern,
 	g.pattern, g.process = p, proc
 	g.offered = 0
 	g.started = false
-	g.batch = true
 	var master, probe sim.RNG
 	master.Seed(seed)
 	probe.Seed(0)
@@ -129,17 +127,6 @@ func (g *Generator) OfferedFlitRate() float64 {
 		}
 	}
 	return sum * float64(g.net.Config().PacketLen)
-}
-
-// SetBatching toggles same-cycle arrival batching before Start. Both
-// modes emit the identical packet stream; the unbatched mode pays one
-// kernel event per arrival and exists as the reference the determinism
-// tests compare against.
-func (g *Generator) SetBatching(on bool) {
-	if g.started {
-		panic("traffic: SetBatching after Start")
-	}
-	g.batch = on
 }
 
 // Start schedules the first arrival of every source. Call once, before
@@ -188,14 +175,15 @@ func (g *Generator) Fire(node int) {
 		// times (no tick runs in between, and same-source packets keep
 		// their queue order), so one kernel event stands in for all of
 		// them. The destination draw stays interleaved with the
-		// interarrival draw exactly as in unbatched emission — pre-drawing
-		// times ahead of destinations would reorder the RNG stream.
+		// interarrival draw exactly as one event per arrival would
+		// interleave them — pre-drawing times ahead of destinations would
+		// reorder the RNG stream.
 		t := g.next[node]
 		cycle := arrivalCycle(t)
 		for {
 			g.emit(node, r)
 			t += sim.Time(r.Exp(g.rates[node]))
-			if !g.batch || arrivalCycle(t) != cycle {
+			if arrivalCycle(t) != cycle {
 				break
 			}
 		}
