@@ -83,7 +83,9 @@ bench-speedup:
 # bench-ab is the paired wall-clock comparison a speed claim rests on:
 # ten alternating pairs of one BENCHMARK.json workload between BASE (a
 # git ref, exported to a temporary directory) and the working tree, with
-# each side's median and quartiles and the pair win count.
+# each side's median and quartiles and the pair win count, then the
+# no-regression verdict for every end_to_end metric of BENCHMARK.json
+# against its bound.
 #	make bench-ab BASE=HEAD~1 WORKLOAD=knee.serial
 PAIRS ?= 10
 METRIC ?= sim_cycles_per_s

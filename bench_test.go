@@ -381,15 +381,14 @@ func BenchmarkPerfGate(b *testing.B) {
 			if load.shards > 0 {
 				// The fused engine's synchronization budget, normalized
 				// by ticked (non-fast-forwarded) cycles: exactly one
-				// barrier per multi-shard cycle without an OnEject
-				// callback. The credit discipline resolves every
-				// boundary link decision inside the pass (speculatively
-				// on a cycle-start credit, or via a point-to-point
-				// pops-done wait on credit exhaustion); the credit split
-				// (speculative deliveries vs zero-credit defers per
-				// cycle) is reported and gated too: all are
-				// deterministic work counters, so the gate pins them
-				// where wall-clock speedup would be host noise.
+				// barrier per multi-shard cycle. The credit discipline
+				// resolves every boundary link decision inside the pass
+				// (speculatively on a cycle-start credit, or via a
+				// point-to-point pops-done wait on credit exhaustion);
+				// the credit split (speculative deliveries vs
+				// zero-credit defers per cycle) is reported and gated
+				// too: all are deterministic work counters, so the gate
+				// pins them where wall-clock speedup would be host noise.
 				ticked := cycles - float64(perf.SkippedCycles)
 				b.ReportMetric(float64(perf.Barriers)/ticked, "barriers/cycle")
 				b.ReportMetric(float64(perf.SpeculativeDeliveries)/ticked, "spec-deliveries/cycle")

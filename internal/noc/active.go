@@ -245,7 +245,7 @@ func (n *Network) activeEject() {
 // round-robin over logical slot indices (port × VCs + vc, split into
 // port and VC by the slotOf table), and the rotation pointer equals
 // cycle mod slots. A fully ejected packet is completed on the spot —
-// statistics, OnEject, recycle — or, when deferred is non-nil (the
+// statistics, then recycle — or, when deferred is non-nil (the
 // parallel engine), appended to it for the serial replay. It reports
 // whether a flit moved.
 func (n *Network) ejectNode(wl *worklists, node int, deferred *[]int32) bool {
@@ -287,15 +287,11 @@ func (n *Network) ejectNode(wl *worklists, node int, deferred *[]int32) bool {
 }
 
 // completeEjection accounts for a packet whose tail flit was consumed:
-// statistics, then the OnEject observers, then the arena recycle.
+// statistics, then the arena recycle.
 func (n *Network) completeEjection(pi int32) {
 	a := &n.arena
 	n.ejected++
 	n.col.PacketEjected(n.cycle, a.created[pi], a.injected[pi], a.pktLen, int(a.hops[pi]))
-	if n.onEject != nil {
-		n.materializePacket(&n.ejView, pi)
-		n.onEject(&n.ejView)
-	}
 	n.recyclePacket(pi)
 }
 

@@ -1,16 +1,16 @@
 package noc
 
+import "fmt"
+
 // This file is the struct-of-arrays packet arena and the packed flit
 // handle — the pointer-free representation behind the hot path. Every
-// packet leased by InjectPacket is one index into parallel field
-// slices; every flit in a router buffer is one 64-bit handle word
-// packing (packet index, sequence number, VC tag). The phase drains in
+// packet leased by Inject is one index into parallel field slices;
+// every flit in a router buffer is one 64-bit handle word packing
+// (packet index, sequence number, VC tag). The phase drains in
 // active.go/parallel.go therefore walk dense arrays of integers: no
-// *Packet or *Flit is ever chased (or allocated) inside a cycle. A
-// record holds per-packet state only: the one-stage-per-cycle stamp of
-// a flit belongs to the ring buffer holding it (router.go). The
-// exported Packet/Flit structs survive as materialized views at the
-// observer boundary (flit.go, observe.go).
+// pointer is ever chased (or allocated) inside a cycle. A record holds
+// per-packet state only: the one-stage-per-cycle stamp of a flit
+// belongs to the ring buffer holding it (router.go).
 
 // Handle field widths. The VC tag sits in the low bits so retagging a
 // flit at switch traversal is one masked or; the packet index occupies
@@ -30,9 +30,9 @@ const (
 )
 
 // flitH is a flit handle: the packed (packet index, seq, VC) word the
-// router buffers store in place of a *Flit. Packet length is constant
-// per network (Config.PacketLen), so the handle needs no tail bit:
-// seq == PacketLen-1 identifies the tail.
+// router buffers store. Packet length is constant per network
+// (Config.PacketLen), so the handle needs no tail bit: seq ==
+// PacketLen-1 identifies the tail.
 type flitH uint64
 
 // mkFlit packs a handle.
@@ -55,9 +55,8 @@ func (h flitH) withVC(vc int) flitH { return h&^vcMask | flitH(vc) }
 
 // packetArena holds every packet record of a network in parallel field
 // slices, indexed by the handle's packet index. Records are leased and
-// recycled through freeStack (the index-stack successor of the old
-// *Packet freelist); index reuse changes allocator traffic only, never
-// results.
+// recycled through freeStack, an index stack; index reuse changes
+// allocator traffic only, never results.
 type packetArena struct {
 	// pktLen is the constant Config.PacketLen of the owning network;
 	// per-record length storage would duplicate it PacketLen-fold.
@@ -104,22 +103,9 @@ func (a *packetArena) bytes() uint64 {
 	return uint64(a.len())*recBytes + uint64(len(a.freeStack))*4
 }
 
-// materializePacket fills the exported view v from record pi. Views are
-// built only at the observer boundary (OnEject, InjectPacket), never
-// inside the phase drains.
-func (n *Network) materializePacket(v *Packet, pi int32) {
-	a := &n.arena
-	v.ID = a.id[pi]
-	v.Src, v.Dst = int(a.src[pi]), int(a.dst[pi])
-	v.Len = a.pktLen
-	v.CreatedCycle = a.created[pi]
-	v.InjectedCycle = a.injected[pi]
-	v.Hops = int(a.hops[pi])
-}
-
-// pktString renders record pi like Packet.String, for panics and
-// conservation errors (cold paths only).
+// pktString renders record pi as its ID, endpoints and length, for
+// panics and conservation errors (cold paths only).
 func (n *Network) pktString(pi int32) string {
-	n.materializePacket(&n.errView, pi)
-	return n.errView.String()
+	a := &n.arena
+	return fmt.Sprintf("pkt%d %d->%d len=%d", a.id[pi], a.src[pi], a.dst[pi], a.pktLen)
 }

@@ -22,11 +22,10 @@
 // fast-forward across idle cycles via SkipTo. EngineParallel
 // (parallel.go) runs ejection, switch+inject and link as ONE fused
 // shard-local pass over contiguous router shards with a single
-// sense-reversing barrier per cycle (two only when an OnEject
-// callback forces the ejection span to split off). Cross-shard link
-// decisions resolve inside the pass through per-(port,VC) credit
-// counters snapshotted at each barrier: a positive credit proves
-// downstream room and the flit travels speculatively through a
+// sense-reversing barrier per cycle. Cross-shard link decisions
+// resolve inside the pass through per-(port,VC) credit counters
+// snapshotted at each barrier: a positive credit proves downstream
+// room and the flit travels speculatively through a
 // per-shard-pair mailbox; a spent credit waits point-to-point for the
 // downstream shard's pops-done mark and re-reads exact occupancy.
 // Each shard drains its inbound mailboxes at the end of its own pass
@@ -66,17 +65,4 @@
 // a power-of-two per-port stride, so any degree × VC product is
 // supported by both engines (the old single-word masks forced large
 // routers onto a scan-everything engine).
-//
-// # Observer views
-//
-// The exported Packet and Flit structs are materialized views over the
-// arena, built only at the observer boundary: the OnEject callback
-// receives a *Packet filled from the ejected record, and InjectPacket
-// returns one for the new lease. The views are scratch structs owned by
-// the network — valid until the callback returns (or the next
-// InjectPacket call); observers copy fields out rather than retain the
-// pointer, exactly as the recycling contract already required. Nested
-// use works: an OnEject callback may call InjectPacket and still read
-// its own packet afterwards, because ejection and injection materialize
-// into separate scratch views.
 package noc

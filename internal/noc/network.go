@@ -36,15 +36,6 @@ type Network struct {
 	// rotation into its port (s / vcs) and VC (s % vcs).
 	slotOf []slotRef
 
-	// ejView, injView and errView are the scratch Packet views
-	// materialized at the observer boundary: ejView for OnEject, injView
-	// for InjectPacket's return, errView for diagnostics. They are
-	// separate so a callback that injects (request/reply traffic) can
-	// still read its own packet afterwards.
-	ejView  Packet
-	injView Packet
-	errView Packet
-
 	cycle        uint64
 	nextPktID    uint64
 	created      uint64
@@ -79,8 +70,8 @@ type Network struct {
 	modTab  []uint32
 
 	// recycled counts packet records returned to the arena's free
-	// stack: every fully ejected packet's record goes back (after the
-	// ejection observers run) and InjectPacket leases from it, so the
+	// stack: every fully ejected packet's record goes back (after its
+	// statistics are recorded) and Inject leases from it, so the
 	// steady state of a run — and of every following run after Reset —
 	// creates packets without touching the allocator. CheckConservation
 	// proves recycled == ejected (no leak) and that no free record is
@@ -110,8 +101,6 @@ type Network struct {
 	// invariant check (checkActiveInvariants rebuilds each router's
 	// occupancy from the buffers into these instead of allocating).
 	invIn, invEj, invOut slotMask
-	// onEject, when set, runs for every fully consumed packet.
-	onEject func(p *Packet)
 	// adaptive is non-nil when the algorithm supports congestion-aware
 	// choice.
 	adaptive routing.Adaptive
@@ -225,32 +214,22 @@ func (n *Network) Collector() *stats.Collector { return n.col }
 // current cycle. It returns an error for invalid endpoints, and
 // ErrSourceQueueFull when a bounded source queue is at capacity.
 func (n *Network) Inject(src, dst int) error {
-	_, err := n.InjectPacket(src, dst)
-	return err
-}
-
-// InjectPacket is Inject returning a view of the created packet, so
-// closed-loop traffic models (request/reply) can correlate deliveries.
-// The view is the network's scratch struct, overwritten by the next
-// InjectPacket call — copy fields out rather than retain the pointer.
-func (n *Network) InjectPacket(src, dst int) (*Packet, error) {
 	if src < 0 || src >= n.topo.Nodes() || dst < 0 || dst >= n.topo.Nodes() {
-		return nil, fmt.Errorf("noc: inject %d->%d out of range", src, dst)
+		return fmt.Errorf("noc: inject %d->%d out of range", src, dst)
 	}
 	if src == dst {
-		return nil, fmt.Errorf("noc: inject with src == dst == %d", src)
+		return fmt.Errorf("noc: inject with src == dst == %d", src)
 	}
 	q := n.nis[src]
 	if n.cfg.SourceQueueCap > 0 && q.queue.len() >= n.cfg.SourceQueueCap {
-		return nil, ErrSourceQueueFull
+		return ErrSourceQueueFull
 	}
 	pi := n.leasePacket(src, dst)
 	n.nextPktID++
 	n.created++
 	q.queue.push(pi)
 	n.markSource(src)
-	n.materializePacket(&n.injView, pi)
-	return &n.injView, nil
+	return nil
 }
 
 // leasePacket draws a record from the arena's free stack, falling back
@@ -276,10 +255,9 @@ func (n *Network) leasePacket(src, dst int) int32 {
 }
 
 // recyclePacket returns a fully consumed packet's record to the free
-// stack. It runs at tail ejection, after statistics and the OnEject
-// observers — which therefore must not retain the packet view past
-// their return. A second recycle of the same lease is always an
-// accounting bug and panics rather than corrupting the arena.
+// stack. It runs at tail ejection, after statistics. A second recycle
+// of the same lease is always an accounting bug and panics rather than
+// corrupting the arena.
 func (n *Network) recyclePacket(pi int32) {
 	a := &n.arena
 	if a.free[pi] {
@@ -584,10 +562,9 @@ func (n *Network) checkPool() error {
 
 // Reset returns the network to its just-constructed state — empty
 // buffers and queues with cleared stage stamps, zeroed counters and
-// round-robin pointers, no ejection callback — while keeping every
-// allocated structure: the routers, their slot blocks, and above all
-// the packet arena, to which all in-flight and queued packets' records
-// are reclaimed first. A reset network therefore runs the next scenario
+// round-robin pointers — while keeping every allocated structure: the
+// routers, their slot blocks, and above all the packet arena, to which
+// all in-flight and queued packets' records are reclaimed first. A reset network therefore runs the next scenario
 // bit for bit like a freshly built one but with a warm freelist, which
 // is what lets a campaign reuse one network across replications instead
 // of rebuilding it per run. The engine selection is preserved.
@@ -641,7 +618,6 @@ func (n *Network) Reset() {
 	n.lastActivity, n.moved = 0, false
 	n.visits, n.skipped = 0, 0
 	n.barriers, n.specs, n.cdefers = 0, 0, 0
-	n.onEject = nil
 	n.wl.clear()
 	n.resetShards()
 	n.rebuildModTab()
@@ -659,12 +635,20 @@ func (n *Network) reclaim(pi int32) {
 	a.freeStack = append(a.freeStack, pi)
 }
 
-// flitString renders handle h like Flit.String, for panics and
-// conservation errors (cold paths only).
+// flitString renders handle h with its packet, sequence number, role
+// (head, body, tail, or head+tail for a 1-flit packet) and VC tag, for
+// panics and conservation errors (cold paths only).
 func (n *Network) flitString(h flitH) string {
-	n.materializePacket(&n.errView, h.pkt())
-	f := Flit{Pkt: &n.errView, Seq: h.seq(), VC: h.vc()}
-	return f.String()
+	role := "body"
+	switch head, tail := h.seq() == 0, h.seq() == n.arena.pktLen-1; {
+	case head && tail:
+		role = "head+tail"
+	case head:
+		role = "head"
+	case tail:
+		role = "tail"
+	}
+	return fmt.Sprintf("%s flit %d (%s) vc%d", n.pktString(h.pkt()), h.seq(), role, h.vc())
 }
 
 // Drain runs the network without new injections until all traffic is

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"gonoc/internal/routing"
@@ -71,27 +73,53 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestFlitRoles(t *testing.T) {
-	p := &Packet{Len: 3}
-	head := &Flit{Pkt: p, Seq: 0}
-	body := &Flit{Pkt: p, Seq: 1}
-	tail := &Flit{Pkt: p, Seq: 2}
-	if !head.IsHead() || head.IsTail() {
-		t.Error("head flit roles")
+// TestFlitAndPacketStrings pins the diagnostic text flitString and
+// pktString render for flits resident in a real network's buffers:
+// head, body and tail of 3-flit worms (one of them on the dateline VC)
+// and the lone head+tail flit of a 1-flit packet. Panics and
+// conservation errors quote these strings.
+func TestFlitAndPacketStrings(t *testing.T) {
+	snapshot := func(plen, cycles int, pairs ...[2]int) []string {
+		cfg := DefaultConfig()
+		cfg.PacketLen = plen
+		r := topology.MustRing(8)
+		net, err := NewNetwork(r, routing.NewRingRouting(r), cfg, stats.NewCollector(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pairs {
+			if err := net.Inject(p[0], p[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.StepN(cycles)
+		var out []string
+		for _, rt := range net.routers {
+			_ = rt.eachFlit(func(h flitH) error {
+				out = append(out, fmt.Sprintf("r%d %s | %s", rt.node, net.flitString(h), net.pktString(h.pkt())))
+				return nil
+			})
+		}
+		return out
 	}
-	if body.IsHead() || body.IsTail() {
-		t.Error("body flit roles")
+	check := func(got, want []string) {
+		t.Helper()
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("rendered\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
-	if tail.IsHead() || !tail.IsTail() {
-		t.Error("tail flit roles")
-	}
-	single := &Flit{Pkt: &Packet{Len: 1}, Seq: 0}
-	if !single.IsHead() || !single.IsTail() {
-		t.Error("single-flit packet roles")
-	}
-	if head.String() == "" || tail.String() == "" || p.String() == "" {
-		t.Error("string rendering empty")
-	}
+	check(snapshot(3, 5, [2]int{0, 3}, [2]int{6, 1}), []string{
+		"r0 pkt1 6->1 len=3 flit 1 (body) vc1 | pkt1 6->1 len=3",
+		"r0 pkt1 6->1 len=3 flit 0 (head) vc1 | pkt1 6->1 len=3",
+		"r1 pkt0 0->3 len=3 flit 2 (tail) vc0 | pkt0 0->3 len=3",
+		"r2 pkt0 0->3 len=3 flit 1 (body) vc0 | pkt0 0->3 len=3",
+		"r2 pkt0 0->3 len=3 flit 0 (head) vc0 | pkt0 0->3 len=3",
+		"r7 pkt1 6->1 len=3 flit 2 (tail) vc1 | pkt1 6->1 len=3",
+	})
+	check(snapshot(1, 1, [2]int{0, 3}, [2]int{6, 1}), []string{
+		"r0 pkt0 0->3 len=1 flit 0 (head+tail) vc0 | pkt0 0->3 len=1",
+		"r6 pkt1 6->1 len=1 flit 0 (head+tail) vc0 | pkt1 6->1 len=1",
+	})
 }
 
 func TestInjectValidation(t *testing.T) {

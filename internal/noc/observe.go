@@ -7,17 +7,8 @@ import (
 )
 
 // This file adds the observability surface of the network: per-channel
-// utilisation counters, queue-occupancy snapshots, and the ejection
-// callback that closed-loop (request/reply) traffic models hook into.
-
-// OnEject registers fn to run whenever a packet's tail flit is consumed
-// at its destination, after statistics are recorded. Callbacks may
-// inject new packets (e.g. replies); they run inside Step, in ejection
-// order. The packet is recycled onto the network's freelist when the
-// callback returns, so callbacks must copy out any fields they need
-// (ID, endpoints, cycles) rather than retain the *Packet. Passing nil
-// clears the callback.
-func (n *Network) OnEject(fn func(p *Packet)) { n.onEject = fn }
+// utilisation counters, queue-occupancy snapshots, engine work
+// counters and the telemetry probes.
 
 // ChannelTraversals returns, indexed by channel ID, the number of flit
 // link traversals since construction (warm-up included; divide by
@@ -100,9 +91,8 @@ type PerfStats struct {
 	// and allocator-independent, so it is gateable like the counters.
 	LiveStateBytes uint64
 	// Barriers counts worker-group barriers crossed by the parallel
-	// engine: one per multi-shard cycle in the fused single-barrier
-	// shape, two when an OnEject callback forces the ejection split,
-	// zero for the serial engines and the single-shard decomposition.
+	// engine: one per multi-shard cycle, zero for the serial engines
+	// and the single-shard decomposition.
 	// Deterministic, so the perf gate pins the synchronization budget.
 	Barriers uint64
 	// SpeculativeDeliveries counts cross-shard flits delivered on an

@@ -83,52 +83,6 @@ func TestHotspotConcentratesUtilization(t *testing.T) {
 	}
 }
 
-func TestOnEjectCallback(t *testing.T) {
-	net := newRingNet(t, 8)
-	var seen []uint64
-	net.OnEject(func(p *Packet) { seen = append(seen, p.ID) })
-	_ = net.Inject(0, 3)
-	_ = net.Inject(1, 5)
-	if err := net.Drain(500); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 2 {
-		t.Fatalf("callback ran %d times", len(seen))
-	}
-	net.OnEject(nil) // clearing must not panic on next ejection
-	_ = net.Inject(0, 3)
-	if err := net.Drain(500); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOnEjectCanInjectReplies(t *testing.T) {
-	// Request-reply through the callback: every delivered packet to
-	// node 3 triggers a reply to its source.
-	net := newSpidergonNet(t, 8, DefaultConfig())
-	replies := 0
-	net.OnEject(func(p *Packet) {
-		if p.Dst == 3 && p.Src != 3 {
-			replies++
-			if err := net.Inject(3, p.Src); err != nil {
-				t.Errorf("reply injection: %v", err)
-			}
-		}
-	})
-	for i := 0; i < 10; i++ {
-		_ = net.Inject(0, 3)
-	}
-	if err := net.Drain(5000); err != nil {
-		t.Fatal(err)
-	}
-	if replies != 10 {
-		t.Fatalf("replies = %d", replies)
-	}
-	if net.EjectedPackets() != 20 { // 10 requests + 10 replies
-		t.Fatalf("ejected = %d, want 20", net.EjectedPackets())
-	}
-}
-
 func TestOccupancySnapshot(t *testing.T) {
 	net := newRingNet(t, 8)
 	for i := 0; i < 5; i++ {

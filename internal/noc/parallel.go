@@ -63,15 +63,8 @@ import (
 //     a barrier. The serial section never touches mailboxes.
 //   - Ejection completions: statistics and the arena recycle are
 //     deferred per shard and replayed in canonical order at the barrier.
-//     Without an OnEject callback this is unobservable mid-cycle (no
-//     lease or collector event happens between the ejection and the
-//     barrier), so the fused single-barrier cycle applies. WITH a
-//     callback, replies must inject the same cycle (serial engines run
-//     OnEject before the injection phase), so the engine falls back to
-//     a two-barrier cycle: an ejection span, a barrier replaying the
-//     completions (stats → OnEject → recycle), then a fused
-//     switch+inject+link span and the cycle-end barrier. The barriers
-//     perf counter records which shape ran.
+//     This is unobservable mid-cycle: no lease or collector event
+//     happens between the ejection and the barrier.
 //
 // The cycle-end serial section is thereby reduced to the ejection
 // completions, the deferred injection statistics, the scratch-counter
@@ -94,10 +87,9 @@ import (
 // time in canonical order.
 //
 // The packet arena needs no sharding: every lease and recycle happens
-// in the serial sections at the barriers (generator events run between
-// cycles; OnEject replies run in the ejection replay), so arena growth
-// and the free stack are only ever touched single-threaded. The
-// per-record fields shards write concurrently — recv during ejection,
+// in the serial sections (generator events run between cycles, recycles
+// in the ejection replay at the barrier), so arena growth and the free
+// stack are only ever touched single-threaded. The per-record fields shards write concurrently — recv during ejection,
 // injected during injection, hops during link traversal — are distinct
 // word-sized array elements owned by exactly one shard at any time, and
 // the barrier atomics (plus the popsDone/linkDone publishes, which
@@ -107,12 +99,12 @@ import (
 // shard makes (link arrivals from another shard travel by mailbox).
 //
 // Synchronization is a generation (sense-reversing) barrier: the
-// coordinator publishes the pass kind, re-arms a countdown and bumps an
-// atomic generation; workers spin on the generation with a budget
-// derived from GOMAXPROCS and the shard count (zero — straight to
-// Gosched — on a single P), yield for a while, then park on a buffered
-// wake channel with a publish-then-recheck handshake so no release can
-// be lost. The intra-pass popsDone/linkDone waits spin with the same
+// coordinator re-arms a countdown and bumps an atomic generation;
+// workers spin on the generation with a budget derived from GOMAXPROCS
+// and the shard count (zero — straight to Gosched — on a single P),
+// yield for a while, then park on a buffered wake channel with a
+// publish-then-recheck handshake so no release can be lost. The
+// intra-pass popsDone/linkDone waits spin with the same
 // budget but never park: every shard publishes both marks
 // unconditionally on every pass before it can itself wait, so the
 // waits are deadlock-free and bounded by the pass length. An idle or
@@ -140,8 +132,8 @@ type parShard struct {
 	moved   bool   // any flit progress this cycle, merged at cycle end
 
 	// ej holds this cycle's fully ejected packets (arena indices) in
-	// pop order; the barrier replays them (statistics, OnEject, arena
-	// recycle) in shard order == ascending node order.
+	// pop order; the barrier replays them (statistics, arena recycle)
+	// in shard order == ascending node order.
 	ej []int32
 	// stats holds this cycle's injection-phase collector events in
 	// visit order, replayed at cycle end.
@@ -201,23 +193,14 @@ type pushRecord struct {
 	h    flitH
 }
 
-// Pass kinds a barrier release carries (parRun.mode).
-const (
-	passFused = iota // ejection + switch/inject + link in one pass
-	passEject        // ejection only (OnEject cycles)
-	passRest         // switch/inject + link (OnEject cycles)
-)
-
 // parRun is the worker group of a running parallel network: one
 // goroutine per shard beyond shard 0, released through a generation
-// barrier once (or, with an OnEject callback, twice) per cycle, plus
-// the per-shard intra-pass progress marks the credit discipline
-// synchronizes on.
+// barrier once per cycle, plus the per-shard intra-pass progress marks
+// the credit discipline synchronizes on.
 type parRun struct {
 	gen     atomic.Uint64 // release generation; bumped to open a pass
 	pending atomic.Int64  // workers still inside the released pass
 	stop    atomic.Bool   // set before the final bump to terminate
-	mode    int           // pass kind, published before the gen bump
 	spin    int           // busy-spin budget before yielding
 
 	// popsDone[s] carries the generation of the last pass in which
@@ -509,14 +492,7 @@ func (n *Network) shardWorker(i int, pr *parRun) {
 		}
 		last = g
 		pr.setLabel(pr.labelPass)
-		switch pr.mode {
-		case passFused:
-			n.runFusedPass(s, g)
-		case passEject:
-			n.parEject(s)
-		default: // passRest
-			n.runRestPass(s, g)
-		}
+		n.runFusedPass(s, g)
 		pr.pending.Add(-1)
 	}
 }
@@ -553,13 +529,12 @@ func (pr *parRun) awaitRelease(w int, last uint64) uint64 {
 	}
 }
 
-// release opens a pass for the workers and returns its generation: the
-// pass kind is published first, pending re-armed, then the generation
-// bump releases spinning workers (the atomic bump orders every
-// serial-section write before it, arena growth from leases included)
-// and parked workers get a wake token.
-func (pr *parRun) release(mode, workers int) uint64 {
-	pr.mode = mode
+// release opens a pass for the workers and returns its generation:
+// pending is re-armed, then the generation bump releases spinning
+// workers (the atomic bump orders every serial-section write before it,
+// arena growth from leases included) and parked workers get a wake
+// token.
+func (pr *parRun) release(workers int) uint64 {
 	pr.pending.Store(int64(workers))
 	g := pr.gen.Add(1)
 	for w := range pr.parked {
@@ -608,18 +583,13 @@ func (pr *parRun) awaitLink(u int, g uint64) {
 	}
 }
 
-// runFusedPass executes one shard's full single-barrier cycle body.
-func (n *Network) runFusedPass(s *parShard, g uint64) {
-	n.parEject(s)
-	n.runRestPass(s, g)
-}
-
-// runRestPass executes the switch+inject and link phases of one shard's
-// pass, publishing the credit-discipline progress marks at the required
+// runFusedPass executes one shard's full single-barrier cycle body,
+// publishing the credit-discipline progress marks at the required
 // points — popsDone after the last input-buffer pop of the pass,
 // linkDone after the last mailbox append — and finally draining the
 // shard's own inboxes (complete once every sender's linkDone is in).
-func (n *Network) runRestPass(s *parShard, g uint64) {
+func (n *Network) runFusedPass(s *parShard, g uint64) {
+	n.parEject(s)
 	n.parSwitchInject(s)
 	pr := n.pr
 	pr.popsDone[s.idx].Store(g)
@@ -628,8 +598,8 @@ func (n *Network) runRestPass(s *parShard, g uint64) {
 	n.drainInboxes(s, g)
 }
 
-// stepParallel advances one cycle under the domain decomposition. The
-// common shape (no OnEject callback) is the single-barrier fused cycle:
+// stepParallel advances one cycle under the domain decomposition, as a
+// single-barrier fused cycle:
 //
 //	fused pass (parallel)  ejection → switch+inject → link → inbox
 //	                       drain per shard; ejection/stat completions
@@ -637,13 +607,6 @@ func (n *Network) runRestPass(s *parShard, g uint64) {
 //	                       in-pass by the credit discipline
 //	barrier     (serial)   ejection replay, stats replay, cycle close,
 //	                       credit refresh
-//
-// With an OnEject callback the replies must inject the same cycle, so
-// the ejection span splits off and the cycle pays a second barrier:
-//
-//	ejection pass (parallel) → barrier: replay (stats → OnEject →
-//	recycle) → switch+inject+link+drain pass (parallel) → barrier:
-//	cycle-end serial section as above
 func (n *Network) stepParallel() {
 	n.moved = false
 	if len(n.shards) == 1 {
@@ -664,32 +627,14 @@ func (n *Network) stepParallel() {
 	pr := n.pr
 	workers := len(n.shards) - 1
 	s0 := &n.shards[0]
-	if n.onEject == nil {
-		g := pr.release(passFused, workers)
-		pr.setLabel(pr.labelPass)
-		n.runFusedPass(s0, g)
-		pr.setLabel(pr.labelWait)
-		pr.await()
-		n.barriers++
-		pr.setLabel(pr.labelSerial)
-		n.replayEjections()
-	} else {
-		pr.release(passEject, workers)
-		pr.setLabel(pr.labelPass)
-		n.parEject(s0)
-		pr.setLabel(pr.labelWait)
-		pr.await()
-		n.barriers++
-		pr.setLabel(pr.labelSerial)
-		n.replayEjections()
-		g := pr.release(passRest, workers)
-		pr.setLabel(pr.labelPass)
-		n.runRestPass(s0, g)
-		pr.setLabel(pr.labelWait)
-		pr.await()
-		n.barriers++
-		pr.setLabel(pr.labelSerial)
-	}
+	g := pr.release(workers)
+	pr.setLabel(pr.labelPass)
+	n.runFusedPass(s0, g)
+	pr.setLabel(pr.labelWait)
+	pr.await()
+	n.barriers++
+	pr.setLabel(pr.labelSerial)
+	n.replayEjections()
 	n.finishParallelCycle()
 	pr.setLabel(pr.labelNone)
 }
@@ -697,8 +642,8 @@ func (n *Network) stepParallel() {
 // parEject runs the ejection stage (ejectNode) over one shard's
 // worklist, deferring every tail-ejection completion: the pops, mask
 // updates and per-packet receive accounting are shard-local (a packet's
-// flits all eject at its unique destination), while statistics, the
-// OnEject callback and the arena recycle run in the serial replay.
+// flits all eject at its unique destination), while statistics and the
+// arena recycle run in the serial replay.
 func (n *Network) parEject(s *parShard) {
 	s.wl.ej.forEach(func(node int) {
 		s.visits++
@@ -711,12 +656,10 @@ func (n *Network) parEject(s *parShard) {
 // replayEjections applies the deferred ejection completions in shard
 // order — which, shards being contiguous and each buffer append-ordered
 // by the ascending-node walk, is exactly the serial engines' ejection
-// order. Statistics, the OnEject callback (whose reply injections may
-// lease from the arena and land in any shard's source worklist) and the
-// recycle therefore interleave precisely as in EngineActive. In the
-// fused (callback-free) cycle this runs at the cycle-end barrier: no
-// lease, recycle or collector event can occur between a tail ejection
-// and the barrier, so deferring the completions there is unobservable.
+// order, so statistics and recycles interleave precisely as in
+// EngineActive. It runs at the cycle-end barrier: no lease, recycle or
+// collector event can occur between a tail ejection and the barrier,
+// so deferring the completions there is unobservable.
 func (n *Network) replayEjections() {
 	for i := range n.shards {
 		s := &n.shards[i]

@@ -157,61 +157,6 @@ func TestParallelAgreesRandomized(t *testing.T) {
 	}
 }
 
-// Closed-loop traffic is the sharpest test of the deferred ejection
-// replay: OnEject fires inside Step and injects replies whose packet
-// IDs, pool leases and source-worklist entries must interleave with the
-// recycles exactly as under the serial engine — across shards.
-func TestParallelOnEjectReplies(t *testing.T) {
-	for _, k := range parallelShardCounts {
-		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			s := topology.MustSpidergon(16)
-			ref, err := NewNetwork(s, routing.NewSpidergonRouting(s), DefaultConfig(), stats.NewCollector(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			par := newParallelNet(t, s, routing.NewSpidergonRouting(s), DefaultConfig(), k)
-			// Every delivered request triggers one reply until the budget
-			// drains; both networks see the identical callback logic.
-			reply := func(n *Network, budget *int) func(p *Packet) {
-				return func(p *Packet) {
-					if *budget <= 0 || p.Src == p.Dst {
-						return
-					}
-					*budget--
-					_ = n.Inject(p.Dst, p.Src)
-				}
-			}
-			budRef, budPar := 400, 400
-			ref.OnEject(reply(ref, &budRef))
-			par.OnEject(reply(par, &budPar))
-			rng := sim.NewRNG(12)
-			for cycle := 0; cycle < 2500; cycle++ {
-				if cycle < 600 && rng.Bernoulli(0.3) {
-					src, dst := rng.Intn(16), rng.Intn(16)
-					if src != dst {
-						_ = ref.Inject(src, dst)
-						_ = par.Inject(src, dst)
-					}
-				}
-				ref.Step()
-				par.Step()
-				if fa, fb := stateFingerprint(ref), stateFingerprint(par); fa != fb {
-					t.Fatalf("engines diverged at cycle %d:\nactive:   %s\nparallel: %s", cycle, fa, fb)
-				}
-			}
-			if budRef != budPar {
-				t.Fatalf("reply budgets diverged: active %d, parallel %d", budRef, budPar)
-			}
-			if err := par.CheckConservation(); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.CheckConservation(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // Reset must return a parallel network to a state bit-identical to a
 // fresh one (with its workers parked), so campaign workspaces can reuse
 // it across replications.
@@ -321,9 +266,9 @@ func TestParallelInvariantsCatchCorruption(t *testing.T) {
 	}
 }
 
-// The synchronization budget is the tentpole's gated claim: an open-loop
-// multi-shard cycle costs exactly ONE barrier, an OnEject cycle exactly
-// two (the ejection split), and the single-shard decomposition none.
+// The synchronization budget is gated: every multi-shard cycle costs
+// exactly ONE barrier, loaded or draining, and the single-shard
+// decomposition none.
 func TestParallelBarrierCounters(t *testing.T) {
 	s := topology.MustSpidergon(16)
 	par := newParallelNet(t, s, routing.NewSpidergonRouting(s), DefaultConfig(), 4)
@@ -339,16 +284,14 @@ func TestParallelBarrierCounters(t *testing.T) {
 		par.Step()
 	}
 	if got := par.Perf().Barriers; got != open {
-		t.Fatalf("open-loop barriers = %d over %d cycles, want exactly 1/cycle", got, open)
+		t.Fatalf("loaded barriers = %d over %d cycles, want exactly 1/cycle", got, open)
 	}
-	par.OnEject(func(*Packet) {})
-	const closed = 200
-	for c := 0; c < closed; c++ {
+	const drain = 200
+	for c := 0; c < drain; c++ {
 		par.Step()
 	}
-	if got := par.Perf().Barriers; got != open+2*closed {
-		t.Fatalf("barriers = %d after %d OnEject cycles, want %d (2/cycle under the ejection split)",
-			got, closed, open+2*closed)
+	if got := par.Perf().Barriers; got != open+drain {
+		t.Fatalf("barriers = %d after %d more draining cycles, want %d (1/cycle)", got, drain, open+drain)
 	}
 
 	single := newParallelNet(t, s, routing.NewSpidergonRouting(s), DefaultConfig(), 1)

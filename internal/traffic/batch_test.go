@@ -123,35 +123,3 @@ func TestGeneratorMatchesRecordedOfferCount(t *testing.T) {
 		t.Fatalf("generator offered %d packets, Record pre-drew %d", g.OfferedPackets(), len(tr.Events))
 	}
 }
-
-// OnOff and RequestReply share the batched handler path; their streams
-// must match the reference recorded with one event per arrival, at a
-// bursty peak rate high enough that batching engages within bursts.
-func TestAppGeneratorsBatchedMatchUnbatched(t *testing.T) {
-	net := buildNet(t, 16)
-	k := sim.NewKernel()
-	g, err := NewOnOffGenerator(k, net, Uniform{N: 16}, OnOff{PeakRate: 2.5, OnMean: 40, OffMean: 120}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	tick := sim.NewTicker(k, 1)
-	tick.OnTick(func(uint64) { net.Step() })
-	tick.Start()
-	k.RunUntil(5000)
-	checkGolden(t, t.Name()+"/on-off", fmt.Sprintf("off=%d %s", g.OfferedPackets(), netSummary(net)))
-
-	net = buildNet(t, 16)
-	k = sim.NewKernel()
-	rr, err := NewRequestReply(k, net, []int{0, 1, 2, 3}, []int{8, 9}, 1.2, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr.Start()
-	tick = sim.NewTicker(k, 1)
-	tick.OnTick(func(uint64) { net.Step() })
-	tick.Start()
-	k.RunUntil(5000)
-	checkGolden(t, t.Name()+"/request-reply", fmt.Sprintf("req=%d rep=%d done=%d rt=%v %s",
-		rr.Requests(), rr.Replies(), rr.CompletedTransactions(), rr.RoundTrip().Mean(), netSummary(net)))
-}

@@ -30,7 +30,7 @@ type Generator struct {
 	net     *noc.Network
 	pattern Pattern
 	process Process
-	rates   []float64
+	rate    float64   // packets/cycle, the same at every source
 	rngs    []sim.RNG // per-source streams, one backing array
 	// isSource caches pattern membership per node, hoisted to
 	// construction so rate queries never re-probe the pattern (the seed
@@ -64,9 +64,9 @@ func NewGenerator(k *sim.Kernel, net *noc.Network, p Pattern, proc Process, rate
 }
 
 // RenewGenerator is NewGenerator reusing a previous run's generator
-// when one is supplied and its node count matches: the per-source rate,
-// RNG and arrival-horizon slices are re-initialised in place instead of
-// reallocated, so a warm workspace re-arms its traffic for the next
+// when one is supplied and its node count matches: the per-source RNG,
+// source-membership and arrival-horizon slices are re-initialised in
+// place instead of reallocated, so a warm workspace re-arms its traffic for the next
 // replication without touching the allocator. A renewed generator is
 // draw-for-draw identical to a fresh one (proven by the determinism
 // tests); prev may be nil or mismatched, in which case a fresh
@@ -77,23 +77,21 @@ func RenewGenerator(prev *Generator, k *sim.Kernel, net *noc.Network, p Pattern,
 	}
 	n := net.Topology().Nodes()
 	g := prev
-	if g == nil || len(g.rates) != n {
+	if g == nil || len(g.rngs) != n {
 		g = &Generator{
-			rates:    make([]float64, n),
 			rngs:     make([]sim.RNG, n),
 			isSource: make([]bool, n),
 			next:     make([]sim.Time, n),
 		}
 	}
 	g.kernel, g.net = k, net
-	g.pattern, g.process = p, proc
+	g.pattern, g.process, g.rate = p, proc, rate
 	g.offered = 0
 	g.started = false
 	var master, probe sim.RNG
 	master.Seed(seed)
 	probe.Seed(0)
 	for i := 0; i < n; i++ {
-		g.rates[i] = rate
 		master.SplitInto(&g.rngs[i])
 		g.next[i] = 0
 		// Source membership is structural for every Pattern (it never
@@ -103,27 +101,18 @@ func RenewGenerator(prev *Generator, k *sim.Kernel, net *noc.Network, p Pattern,
 	return g, nil
 }
 
-// SetRate overrides the packet rate of one source before Start.
-func (g *Generator) SetRate(node int, rate float64) {
-	if g.started {
-		panic("traffic: SetRate after Start")
-	}
-	g.rates[node] = rate
-}
-
-// Rate returns node's configured packet rate.
-func (g *Generator) Rate(node int) float64 { return g.rates[node] }
-
 // OfferedPackets returns the number of packets generated so far.
 func (g *Generator) OfferedPackets() uint64 { return g.offered }
 
 // OfferedFlitRate returns the configured aggregate offered load in
-// flits/cycle (sum of source rates times packet length).
+// flits/cycle: rate × sources × packet length. The rate is accumulated
+// source by source rather than multiplied by the source count, which
+// keeps the float bit-identical to previously recorded results.
 func (g *Generator) OfferedFlitRate() float64 {
 	sum := 0.0
-	for node, r := range g.rates {
-		if g.isSource[node] {
-			sum += r
+	for _, src := range g.isSource {
+		if src {
+			sum += g.rate
 		}
 	}
 	return sum * float64(g.net.Config().PacketLen)
@@ -136,11 +125,11 @@ func (g *Generator) Start() {
 		panic("traffic: generator started twice")
 	}
 	g.started = true
+	if g.rate <= 0 {
+		return
+	}
 	now := g.kernel.Now()
-	for node := range g.rates {
-		if g.rates[node] <= 0 {
-			continue
-		}
+	for node := range g.rngs {
 		var probe sim.RNG
 		g.rngs[node].SplitInto(&probe)
 		if _, ok := g.pattern.Destination(node, &probe); !ok {
@@ -148,7 +137,7 @@ func (g *Generator) Start() {
 		}
 		switch g.process {
 		case Poisson:
-			g.next[node] = now + sim.Time(g.rngs[node].Exp(g.rates[node]))
+			g.next[node] = now + sim.Time(g.rngs[node].Exp(g.rate))
 			g.kernel.ScheduleEvent(g.next[node], 0, g, node)
 		case Bernoulli:
 			g.kernel.ScheduleEvent(now+1, 0, g, node)
@@ -182,7 +171,7 @@ func (g *Generator) Fire(node int) {
 		cycle := arrivalCycle(t)
 		for {
 			g.emit(node, r)
-			t += sim.Time(r.Exp(g.rates[node]))
+			t += sim.Time(r.Exp(g.rate))
 			if arrivalCycle(t) != cycle {
 				break
 			}
@@ -192,7 +181,7 @@ func (g *Generator) Fire(node int) {
 	case Bernoulli:
 		// One coin per cycle per source: every cycle must draw, so there
 		// is nothing to batch — but the event record is still pooled.
-		if r.Bernoulli(g.rates[node]) {
+		if r.Bernoulli(g.rate) {
 			g.emit(node, r)
 		}
 		g.kernel.ScheduleEvent(g.kernel.Now()+1, 0, g, node)
