@@ -6,7 +6,7 @@
 //	nocsim -topo spidergon -n 16 -traffic uniform -lambda 0.02 \
 //	       -warmup 1000 -cycles 10000 -seed 1
 //
-// Topologies: ring, spidergon, mesh, imesh, fmesh, torus.
+// Topologies: ring, spidergon, mesh, imesh, fmesh.
 // Traffic: uniform, or hotspot with -targets "0,8".
 package main
 
@@ -25,10 +25,10 @@ import (
 
 func main() {
 	var (
-		topo    = flag.String("topo", "spidergon", "topology: ring|spidergon|mesh|imesh|fmesh|torus")
+		topo    = flag.String("topo", "spidergon", "topology: ring|spidergon|mesh|imesh|fmesh")
 		n       = flag.Int("n", 16, "number of nodes")
-		cols    = flag.Int("cols", 0, "mesh/torus columns (0 = balanced factorisation)")
-		rows    = flag.Int("rows", 0, "mesh/torus rows (0 = balanced factorisation)")
+		cols    = flag.Int("cols", 0, "mesh columns (0 = balanced factorisation)")
+		rows    = flag.Int("rows", 0, "mesh rows (0 = balanced factorisation)")
 		tk      = flag.String("traffic", "uniform", "traffic: uniform|hotspot")
 		targets = flag.String("targets", "", "hotspot targets, comma separated (default: paper placement)")
 		lambda  = flag.Float64("lambda", 0.01, "packets/cycle per source")

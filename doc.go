@@ -4,7 +4,7 @@
 // Mesh" (DATE 2006).
 //
 // The library lives under internal/: topology models (ring, Spidergon,
-// mesh family, torus, chordal ring), routing algorithms with a
+// mesh family), the paper's deterministic routing algorithms with a
 // channel-dependency-graph deadlock checker, a wormhole-switched
 // flit-level network model, Poisson/hot-spot/uniform traffic
 // generation, a scenario layer (internal/core) with the deterministic

@@ -54,7 +54,7 @@ func TestValidateRemembersBuildVerdicts(t *testing.T) {
 		func() Scenario { s := base; s.Topo, s.Nodes, s.Routing = IrregularMesh, 10, "yx"; return s }(), // irregular: no yx
 		func() Scenario { s := base; s.Topo, s.Routing = Ring, "yx"; return s }(),                       // override off the mesh family
 		func() Scenario { s := base; s.Topo, s.Nodes = Spidergon, 9; return s }(),
-		func() Scenario { s := base; s.Topo = Torus; s.Cols, s.Rows = 32, 2; return s }(), // torus needs >= 3 per dimension
+		func() Scenario { s := base; s.Topo = "torus"; s.Cols, s.Rows = 32, 2; return s }(), // no longer a topology kind
 		func() Scenario { s := base; s.Topo = "hypercube"; return s }(),
 	}
 	for round := 0; round < 2; round++ { // round 1 answers from the memo
@@ -101,11 +101,6 @@ func TestScenarioBuildKinds(t *testing.T) {
 		if alg.VCs() < 1 {
 			t.Fatalf("%s: no VCs", kind)
 		}
-	}
-	s := NewScenario(Torus, 12, UniformTraffic, 0.01)
-	s.Cols, s.Rows = 4, 3
-	if _, _, err := s.Build(); err != nil {
-		t.Fatalf("torus: %v", err)
 	}
 }
 

@@ -68,11 +68,20 @@ func TestGoldenCrossEngineMatrix(t *testing.T) {
 // space (topology family, node count, traffic, switching, interface
 // rates, arrival process) must keep the engine bit-identical to the
 // frozen reference.
+//
+// The digests were frozen from a four-way topology draw whose fourth
+// slot, a 2D torus, is no longer a topology. The draw stays four-way so
+// that trials 0-8 replay their frozen streams bit for bit; trial 9 drew
+// the torus, so the loop stops before it.
 func TestGoldenCrossEngineRandomScenarios(t *testing.T) {
 	rng := sim.NewRNG(2026)
-	topos := []TopologyKind{Ring, Spidergon, Mesh, Torus}
-	for trial := 0; trial < 10; trial++ {
-		s := NewScenario(topos[rng.Intn(len(topos))], 8+4*rng.Intn(3), UniformTraffic, 0.005+0.08*rng.Float64())
+	topos := []TopologyKind{Ring, Spidergon, Mesh}
+	for trial := 0; trial < 9; trial++ {
+		k := rng.Intn(len(topos) + 1)
+		if k == len(topos) {
+			t.Fatalf("trial %d drew the retired fourth topology slot", trial)
+		}
+		s := NewScenario(topos[k], 8+4*rng.Intn(3), UniformTraffic, 0.005+0.08*rng.Float64())
 		if s.Topo == Spidergon && s.Nodes%4 != 0 {
 			s.Nodes = 16
 		}

@@ -6,44 +6,76 @@ import (
 	"testing"
 
 	"gonoc/internal/noc"
+	"gonoc/internal/routing"
 	"gonoc/internal/stats"
+	"gonoc/internal/topology"
 )
 
-func TestRoutingOverrideBuild(t *testing.T) {
-	for _, override := range []string{"", "xy", "yx", "west-first", "table"} {
-		s := NewScenario(Mesh, 16, UniformTraffic, 0.01)
-		s.Routing = override
-		if _, _, err := s.Build(); err != nil {
-			t.Fatalf("override %q: %v", override, err)
+// Every geometry Validate accepts is proven routable: each topology
+// kind × Routing value at small sizes builds an algorithm that delivers
+// every pair, has an acyclic channel dependency graph, and — all of the
+// paper's algorithms and YX being documented minimal — takes shortest
+// paths. Retired topologies and routing names fail Validate.
+func TestAcceptedGeometriesRoutable(t *testing.T) {
+	kinds := []TopologyKind{Ring, Spidergon, Mesh, IrregularMesh, FactorMesh}
+	accepted := map[string]int{}
+	for _, kind := range kinds {
+		for _, override := range []string{"", "yx"} {
+			for _, n := range []int{4, 6, 8, 9, 12, 13, 16, 20} {
+				s := NewScenario(kind, n, UniformTraffic, 0.01)
+				s.Routing = override
+				if s.Validate() != nil {
+					continue
+				}
+				topo, alg, err := s.Build()
+				if err != nil {
+					t.Fatalf("%s routing %q: Validate accepts what Build rejects: %v", s.Label(), override, err)
+				}
+				for _, check := range []func(routing.Algorithm, topology.Topology) error{
+					routing.CheckConnected, routing.CheckDeadlockFree, routing.CheckMinimal,
+				} {
+					if err := check(alg, topo); err != nil {
+						t.Errorf("%s routing %q: %v", s.Label(), override, err)
+					}
+				}
+				accepted[string(kind)+"/"+override]++
+			}
 		}
 	}
-	s := NewScenario(Mesh, 16, UniformTraffic, 0.01)
-	s.Routing = "hyperspace"
-	if _, _, err := s.Build(); err == nil {
-		t.Fatal("bogus override accepted")
+	for _, want := range []string{"ring/", "spidergon/", "mesh/", "mesh/yx", "imesh/", "imesh/yx", "fmesh/", "fmesh/yx"} {
+		if accepted[want] == 0 {
+			t.Errorf("no %s geometry accepted", want)
+		}
 	}
-	s = NewScenario(Ring, 8, UniformTraffic, 0.01)
-	s.Routing = "xy"
-	if _, _, err := s.Build(); err == nil {
-		t.Fatal("override on ring accepted")
+	for _, key := range []string{"ring/yx", "spidergon/yx"} {
+		if accepted[key] != 0 {
+			t.Errorf("%d %s geometries accepted", accepted[key], key)
+		}
 	}
-	s = NewScenario(IrregularMesh, 13, UniformTraffic, 0.01)
-	s.Routing = "yx"
-	if _, _, err := s.Build(); err == nil {
-		t.Fatal("yx on irregular mesh accepted")
+
+	rejected := []Scenario{
+		NewScenario("torus", 16, UniformTraffic, 0.01),
+		NewScenario("chordal", 16, UniformTraffic, 0.01),
+		func() Scenario { s := NewScenario(IrregularMesh, 13, UniformTraffic, 0.01); s.Routing = "yx"; return s }(),
+		func() Scenario { s := NewScenario(Ring, 8, UniformTraffic, 0.01); s.Routing = "yx"; return s }(),
 	}
-	s.Routing = "table"
-	if _, _, err := s.Build(); err != nil {
-		t.Fatalf("table on irregular mesh: %v", err)
+	for _, override := range []string{"xy", "west-first", "table", "hyperspace"} {
+		s := NewScenario(Mesh, 16, UniformTraffic, 0.01)
+		s.Routing = override
+		rejected = append(rejected, s)
+	}
+	for _, s := range rejected {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s routing %q accepted", s.Label(), s.Routing)
+		}
 	}
 }
 
 func TestRoutingOverridesRunEquivalently(t *testing.T) {
-	// XY, YX, west-first and table routing are all minimal on a full
-	// mesh: under light uniform load their mean hop counts agree and
-	// everything is delivered.
+	// XY and YX are both minimal on a full mesh: under light uniform
+	// load their mean hop counts agree and everything is delivered.
 	var hops []float64
-	for _, override := range []string{"", "yx", "west-first", "table"} {
+	for _, override := range []string{"", "yx"} {
 		s := NewScenario(Mesh, 16, UniformTraffic, 0.005)
 		s.Routing = override
 		s.Warmup, s.Measure = 500, 6000
@@ -60,28 +92,6 @@ func TestRoutingOverridesRunEquivalently(t *testing.T) {
 		if math.Abs(hops[i]-hops[0]) > 0.15*hops[0] {
 			t.Fatalf("hop counts diverge across minimal algorithms: %v", hops)
 		}
-	}
-}
-
-func TestAdaptiveBeatsXYUnderSkewedLoad(t *testing.T) {
-	// Transpose-like skewed traffic concentrates XY paths; west-first
-	// spreads eastbound traffic, so its saturated throughput is at
-	// least XY's.
-	run := func(override string) float64 {
-		s := NewScenario(Mesh, 16, HotSpotTraffic, 0)
-		s.HotSpots = []int{15}
-		s.Lambda = 2.0 * 1.0 / (15.0 * 6.0)
-		s.Routing = override
-		s.Warmup, s.Measure = 500, 6000
-		r, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Throughput
-	}
-	xy, wf := run(""), run("west-first")
-	if wf < 0.95*xy {
-		t.Fatalf("west-first %v clearly below xy %v", wf, xy)
 	}
 }
 

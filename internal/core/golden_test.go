@@ -7,8 +7,11 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io/fs"
 	"os"
+	"sort"
+	"sync"
 	"testing"
 )
 
@@ -22,6 +25,66 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/reference-golden.json from this run")
 
 const goldenPath = "testdata/reference-golden.json"
+
+// goldenRead holds every key a checkGolden call looked up, so TestMain
+// can tell a frozen value no test checks any more from a live one.
+var goldenRead = struct {
+	sync.Mutex
+	keys map[string]bool
+}{keys: map[string]bool{}}
+
+// TestMain fails a full, passing, non-update run whose golden file holds
+// a key that no checkGolden call read: a scenario a test stopped
+// running would otherwise keep a frozen digest that proves nothing.
+// Filtered runs (-run, -skip, -list) read only part of the file, so the
+// guard stays off for them.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	code := m.Run()
+	if code == 0 && !*update && unfiltered() {
+		if err := staleGoldenKeys(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
+// unfiltered reports whether this run selects every test.
+func unfiltered() bool {
+	for _, name := range []string{"test.run", "test.skip", "test.list"} {
+		if f := flag.Lookup(name); f != nil && f.Value.String() != "" {
+			return false
+		}
+	}
+	return true
+}
+
+// staleGoldenKeys returns an error naming every key of the golden file
+// that no checkGolden call read.
+func staleGoldenKeys() error {
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		return err
+	}
+	golden := map[string]string{}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		return fmt.Errorf("%s: %v", goldenPath, err)
+	}
+	goldenRead.Lock()
+	defer goldenRead.Unlock()
+	var stale []string
+	for k := range golden {
+		if !goldenRead.keys[k] {
+			stale = append(stale, k)
+		}
+	}
+	if len(stale) == 0 {
+		return nil
+	}
+	sort.Strings(stale)
+	return fmt.Errorf("%s holds %d keys no test read (delete them by hand): %v", goldenPath, len(stale), stale)
+}
 
 // checkResult compares the serialized form of r — every index the exp
 // stack and the sinks derive from a run — with the frozen digest
@@ -39,6 +102,9 @@ func checkResult(t *testing.T, name string, r Result) {
 // checkGolden compares got with the frozen value recorded under name.
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
+	goldenRead.Lock()
+	goldenRead.keys[name] = true
+	goldenRead.Unlock()
 	golden := map[string]string{}
 	raw, err := os.ReadFile(goldenPath)
 	switch {

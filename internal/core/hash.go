@@ -21,7 +21,7 @@ const cacheKeyVersion = "gonoc-scenario-v1"
 // so a result store may replay a cached Result instead of re-running.
 //
 // Normalization resolves the spec choices that do not change the
-// simulation: unset mesh/torus dimensions collapse to the ideal
+// simulation: unset mesh dimensions collapse to the ideal
 // factorisation Build would pick anyway. Everything else — including
 // the hot-spot target order, which steers per-packet RNG draws — is
 // hashed literally.
@@ -40,21 +40,21 @@ func (s Scenario) CacheKey() string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// normalizedDims resolves the mesh/torus dimension choice Build would
+// normalizedDims resolves the mesh dimension choice Build would
 // make for unset Cols/Rows, so the identity keys below hash what is
 // actually simulated. CacheKey and networkKey share it: the two must
 // normalize identically or a Workspace could reuse a network whose
 // geometry differs from what Build constructs.
 func (s Scenario) normalizedDims() (cols, rows int) {
 	cols, rows = s.Cols, s.Rows
-	if (s.Topo == Mesh || s.Topo == Torus) && (cols <= 0 || rows <= 0) {
+	if s.Topo == Mesh && (cols <= 0 || rows <= 0) {
 		cols, rows = analysis.IdealMeshDims(s.Nodes)
 	}
 	return cols, rows
 }
 
 // networkKey identifies the scenario fields a built noc.Network depends
-// on — interconnect, routing and buffer geometry, with mesh/torus
+// on — interconnect, routing and buffer geometry, with mesh
 // dimensions normalized exactly as in CacheKey (shared helper). Two
 // scenarios with equal networkKeys can run on the same (Reset) network;
 // traffic, rates, seeds and horizons deliberately stay out, which is

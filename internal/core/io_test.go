@@ -10,7 +10,7 @@ import (
 func TestScenarioJSONRoundTrip(t *testing.T) {
 	s := NewScenario(Mesh, 24, HotSpotTraffic, 0.004)
 	s.HotSpots = []int{0, 13}
-	s.Routing = "west-first"
+	s.Routing = "yx"
 	s.Cols, s.Rows = 4, 6
 	data, err := MarshalScenario(s)
 	if err != nil {

@@ -58,7 +58,7 @@ func DoubleHotspots(kind TopologyKind, n int, p Placement, cols, rows int) ([]in
 		default:
 			return nil, fmt.Errorf("core: placement %c undefined for %s", p, kind)
 		}
-	case Mesh, FactorMesh, IrregularMesh, Torus:
+	case Mesh, FactorMesh, IrregularMesh:
 		if cols <= 0 || rows <= 0 {
 			cols, rows = analysis.IdealMeshDims(n)
 		}
@@ -88,7 +88,7 @@ func DoubleHotspots(kind TopologyKind, n int, p Placement, cols, rows int) ([]in
 // both since mesh results depend on placement.
 func SingleHotspot(kind TopologyKind, n int, center bool, cols, rows int) int {
 	switch kind {
-	case Mesh, FactorMesh, IrregularMesh, Torus:
+	case Mesh, FactorMesh, IrregularMesh:
 		if !center {
 			return 0
 		}

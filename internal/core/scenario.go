@@ -22,14 +22,13 @@ type TopologyKind string
 
 // Topology families available to scenarios. Ring, Spidergon and Mesh
 // are the paper's subjects; IrregularMesh is its "real mesh";
-// FactorMesh and Torus are extensions.
+// FactorMesh is the most-balanced exact factorisation of N.
 const (
 	Ring          TopologyKind = "ring"
 	Spidergon     TopologyKind = "spidergon"
 	Mesh          TopologyKind = "mesh"
 	IrregularMesh TopologyKind = "imesh"
 	FactorMesh    TopologyKind = "fmesh"
-	Torus         TopologyKind = "torus"
 )
 
 // TrafficKind selects the destination pattern of a scenario.
@@ -66,9 +65,9 @@ type Scenario struct {
 	// Lambda is the per-source packet injection rate (packets/cycle);
 	// multiply by Config.PacketLen for the paper's flits/cycle axis.
 	Lambda float64
-	// Routing optionally overrides the topology's default algorithm:
-	// "" (default), "yx" or "west-first" (full meshes), or "table"
-	// (mesh family, including irregular meshes).
+	// Routing selects the mesh family's dimension order: "" is the
+	// paper's XY, "yx" its YX twin (full meshes only). Ring and
+	// Spidergon accept only "", their single paper algorithm.
 	Routing string
 	// Process selects Poisson (paper) or Bernoulli arrivals.
 	Process traffic.Process
@@ -180,19 +179,6 @@ func (s Scenario) Build() (topology.Topology, routing.Algorithm, error) {
 			return nil, nil, err
 		}
 		return meshWithRouting(m, s.Routing)
-	case Torus:
-		cols, rows := s.Cols, s.Rows
-		if cols <= 0 || rows <= 0 {
-			cols, rows = analysis.IdealMeshDims(s.Nodes)
-		}
-		if cols*rows != s.Nodes {
-			return nil, nil, fmt.Errorf("core: torus %dx%d does not cover %d nodes", cols, rows, s.Nodes)
-		}
-		tr, err := topology.NewTorus(cols, rows)
-		if err != nil {
-			return nil, nil, err
-		}
-		return tr, routing.NewTorusDOR(tr), nil
 	default:
 		return nil, nil, fmt.Errorf("core: unknown topology kind %q", s.Topo)
 	}
@@ -201,22 +187,10 @@ func (s Scenario) Build() (topology.Topology, routing.Algorithm, error) {
 // meshWithRouting resolves the Routing override on the mesh family.
 func meshWithRouting(m *topology.Mesh, override string) (topology.Topology, routing.Algorithm, error) {
 	switch override {
-	case "", "xy":
+	case "":
 		return m, routing.NewMeshXY(m), nil
 	case "yx":
 		a, err := routing.NewMeshYX(m)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, a, nil
-	case "west-first":
-		a, err := routing.NewMeshWestFirst(m)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, a, nil
-	case "table":
-		a, err := routing.NewTableRouting(m, 1)
 		if err != nil {
 			return nil, nil, err
 		}

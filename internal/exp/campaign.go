@@ -91,7 +91,8 @@ type Campaign struct {
 	// scenario layer rejects outright) falls back to the paper's
 	// 10000 cycles.
 	Warmup, Measure uint64
-	// Routing optionally overrides the mesh-family routing algorithm.
+	// Routing selects the mesh family's dimension order ("" is XY,
+	// "yx" its twin); see core.Scenario.Routing.
 	Routing string
 	// Process selects the arrival process (default Poisson).
 	Process traffic.Process

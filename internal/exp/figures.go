@@ -280,7 +280,7 @@ type hotspotVariant struct {
 // spidergon use node 0 (symmetric), the mesh is sampled at corner and
 // center; for k=2 the §3.1.2 scenarios A/B (and C on meshes).
 func hotspotVariants(kind core.TopologyKind, n, k int) []hotspotVariant {
-	meshFamily := kind == core.Mesh || kind == core.FactorMesh || kind == core.IrregularMesh || kind == core.Torus
+	meshFamily := kind == core.Mesh || kind == core.FactorMesh || kind == core.IrregularMesh
 	if k == 1 {
 		if meshFamily {
 			return []hotspotVariant{

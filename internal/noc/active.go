@@ -354,9 +354,10 @@ func (n *Network) switchPort(wl *worklists, r *router, p *inPort, occ uint64, vc
 		pi := h.pkt()
 		entry := &p.route[vc]
 		if h.seq() == 0 {
-			// Heads route afresh on every attempt (adaptive algorithms
-			// re-evaluate congestion) and commit switching state only
-			// when the output queue is won.
+			// Heads route afresh on every attempt (the route is a pure
+			// function of node, destination and VC, so a blocked head
+			// keeps no state) and commit switching state only when the
+			// output queue is won.
 			op, ovc := n.nextHop(r, pi, vc)
 			if !n.canAdmit(&op.vcs[ovc]) {
 				continue // allocation denied; retry next cycle

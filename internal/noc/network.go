@@ -101,9 +101,6 @@ type Network struct {
 	// invariant check (checkActiveInvariants rebuilds each router's
 	// occupancy from the buffers into these instead of allocating).
 	invIn, invEj, invOut slotMask
-	// adaptive is non-nil when the algorithm supports congestion-aware
-	// choice.
-	adaptive routing.Adaptive
 }
 
 // slotRef names one input slot of a router: port index and VC.
@@ -150,9 +147,6 @@ func NewNetwork(t topology.Topology, a routing.Algorithm, cfg Config, col *stats
 	n.telOcc = make([]int32, t.Nodes())
 	n.telInj = make([]uint64, t.Nodes())
 	n.telEj = make([]uint64, t.Nodes())
-	if aa, ok := a.(routing.Adaptive); ok {
-		n.adaptive = aa
-	}
 	nis := make([]ni, t.Nodes())
 	for v := 0; v < t.Nodes(); v++ {
 		n.routers = append(n.routers, newRouter(v, t, n.vcs, n.stride, cfg.InBufCap, cfg.OutBufCap))
@@ -276,16 +270,9 @@ func (n *Network) PoolSize() int { return len(n.arena.freeStack) }
 var ErrSourceQueueFull = fmt.Errorf("noc: source queue full")
 
 // nextHop returns the output port and VC the routing algorithm assigns
-// packet pi's head at router r, arriving on vc (0 at the source),
-// consulting local congestion when the algorithm is adaptive.
+// packet pi's head at router r, arriving on vc (0 at the source).
 func (n *Network) nextHop(r *router, pi int32, vc int) (*outPort, int) {
-	dst := int(n.arena.dst[pi])
-	var d routing.Decision
-	if n.adaptive != nil {
-		d = n.adaptive.Choose(r.node, dst, vc, congestionView{r: r, cap: n.cfg.OutBufCap})
-	} else {
-		d = n.alg.Route(r.node, dst, vc)
-	}
+	d := n.alg.Route(r.node, int(n.arena.dst[pi]), vc)
 	op := r.outPortByDir(d.Dir)
 	if op == nil {
 		panic(fmt.Sprintf("noc: %s chose missing direction %v at node %d for %s",

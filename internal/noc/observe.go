@@ -163,42 +163,6 @@ func (n *Network) OccupancySnapshot() []int {
 	return out
 }
 
-// congestionView adapts one router to the routing.CongestionView
-// contract without importing the routing package (the noc package
-// defines the method set structurally).
-type congestionView struct {
-	r   *router
-	cap int
-}
-
-// OutputOccupancy returns the number of flits queued in the output
-// queue for direction d, virtual channel vc, plus one if the queue is
-// currently owned by an in-progress worm (it cannot accept a new head
-// even when short). Missing directions report a full queue.
-func (v congestionView) OutputOccupancy(d topology.Direction, vc int) int {
-	op := v.r.outPortByDir(d)
-	if op == nil || vc < 0 || vc >= len(op.vcs) {
-		return v.cap + 1
-	}
-	q := &op.vcs[vc]
-	occ := q.q.len()
-	if q.owner >= 0 {
-		occ++
-	}
-	return occ
-}
-
-// OutputFree reports whether a new head flit could be accepted into
-// the output queue for direction d, vc right now.
-func (v congestionView) OutputFree(d topology.Direction, vc int) bool {
-	op := v.r.outPortByDir(d)
-	if op == nil || vc < 0 || vc >= len(op.vcs) {
-		return false
-	}
-	q := &op.vcs[vc]
-	return q.owner < 0 && !q.q.full()
-}
-
 // LiveStateBytes reports the resident bytes of the network's live
 // simulation state: the packet arena (records and the free stack),
 // every router's buffered flit handles and per-slot

@@ -3,8 +3,6 @@ package noc
 import (
 	"testing"
 
-	"gonoc/internal/routing"
-	"gonoc/internal/stats"
 	"gonoc/internal/topology"
 )
 
@@ -96,79 +94,5 @@ func TestOccupancySnapshot(t *testing.T) {
 	}
 	if total != net.InFlightFlits() {
 		t.Fatalf("snapshot sum %d != in-flight %d", total, net.InFlightFlits())
-	}
-}
-
-func TestAdaptiveWestFirstNetwork(t *testing.T) {
-	// End-to-end: west-first adaptive routing on a mesh network
-	// delivers everything, never deadlocks, and under a skewed load
-	// spreads eastbound traffic across both minimal dimensions.
-	m := topology.MustMesh(4, 4)
-	alg, err := routing.NewMeshWestFirst(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := NewNetwork(m, alg, DefaultConfig(), stats.NewCollector(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := newTestRNG(11)
-	for c := 0; c < 3000; c++ {
-		for node := 0; node < 16; node++ {
-			if rng.next()%20 == 0 {
-				dst := int(rng.next() % 16)
-				if dst != node {
-					_ = net.Inject(node, dst)
-				}
-			}
-		}
-		net.Step()
-		if net.IdleCycles() > 100 && net.InFlightFlits() > 0 {
-			t.Fatal("adaptive mesh deadlocked")
-		}
-	}
-	if err := net.Drain(100000); err != nil {
-		t.Fatal(err)
-	}
-	if net.EjectedPackets() != net.CreatedPackets() {
-		t.Fatalf("delivered %d of %d", net.EjectedPackets(), net.CreatedPackets())
-	}
-}
-
-func TestAdaptiveSpreadsLoadVsXY(t *testing.T) {
-	// Heavy corner-to-corner eastbound flow: adaptive west-first should
-	// use at least as many distinct channels as deterministic XY.
-	run := func(adaptive bool) int {
-		m := topology.MustMesh(4, 4)
-		var alg routing.Algorithm
-		if adaptive {
-			a, err := routing.NewMeshWestFirst(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			alg = a
-		} else {
-			alg = routing.NewMeshXY(m)
-		}
-		net, err := NewNetwork(m, alg, DefaultConfig(), stats.NewCollector(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := 0; c < 2000; c++ {
-			_ = net.Inject(0, 15)
-			_ = net.Inject(1, 15)
-			net.Step()
-		}
-		used := 0
-		for _, v := range net.ChannelTraversals() {
-			if v > 0 {
-				used++
-			}
-		}
-		return used
-	}
-	xy, wf := run(false), run(true)
-	if wf < xy {
-		t.Fatalf("adaptive used %d channels, xy used %d", wf, xy)
 	}
 }

@@ -60,34 +60,6 @@ func TestRouterConstruction(t *testing.T) {
 	}
 }
 
-func TestCongestionViewBounds(t *testing.T) {
-	s := topology.MustSpidergon(8)
-	r := newRouter(0, s, 2, 2, 1, 3)
-	v := congestionView{r: r, cap: 3}
-	if occ := v.OutputOccupancy(topology.DirClockwise, 0); occ != 0 {
-		t.Fatalf("fresh occupancy = %d", occ)
-	}
-	if !v.OutputFree(topology.DirClockwise, 0) {
-		t.Fatal("fresh queue not free")
-	}
-	// Missing direction and out-of-range VC report busy.
-	if occ := v.OutputOccupancy(topology.DirEast, 0); occ <= 3 {
-		t.Fatal("missing direction not over-capacity")
-	}
-	if v.OutputFree(topology.DirClockwise, 5) {
-		t.Fatal("out-of-range vc reported free")
-	}
-	// Owned queues count the reservation.
-	op := r.outPortByDir(topology.DirClockwise)
-	op.vcs[0].owner = 1
-	if occ := v.OutputOccupancy(topology.DirClockwise, 0); occ != 1 {
-		t.Fatalf("owned occupancy = %d", occ)
-	}
-	if v.OutputFree(topology.DirClockwise, 0) {
-		t.Fatal("owned queue reported free")
-	}
-}
-
 func TestNoDeadlockVCTAndSAFSaturated(t *testing.T) {
 	for _, mode := range []Switching{VirtualCutThrough, StoreAndForward} {
 		cfg := DefaultConfig()

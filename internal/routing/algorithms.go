@@ -185,62 +185,3 @@ func (a *MeshYX) Route(cur, dst, vc int) Decision {
 		return Decision{Dir: topology.DirWest, VC: 0}
 	}
 }
-
-// TorusDOR is dimension-order routing on the 2D torus extension:
-// X first with wraparound along the shorter way, then Y. Each dimension
-// behaves as a ring and needs the dateline discipline; because Route is
-// stateless and only sees the fed-back VC, the X and Y datelines use
-// disjoint VC classes — X hops occupy VCs {0,1}, Y hops {2,3} — so a
-// VC 1 inherited from an X wraparound can never masquerade as a crossed
-// Y dateline.
-type TorusDOR struct {
-	torus *topology.Torus
-}
-
-// NewTorusDOR returns dimension-order routing for t.
-func NewTorusDOR(t *topology.Torus) *TorusDOR { return &TorusDOR{torus: t} }
-
-// Name returns "torus-dor".
-func (a *TorusDOR) Name() string { return "torus-dor" }
-
-// VCs returns 4: a dateline pair per dimension.
-func (a *TorusDOR) VCs() int { return 4 }
-
-// Route performs one dimension-order step. Wrapping hops move to the
-// high VC of their dimension's pair; the first Y hop (recognisable by a
-// fed-back VC below 2) restarts on the Y pair's low VC.
-func (a *TorusDOR) Route(cur, dst, vc int) Decision {
-	t := a.torus
-	cols, rows := t.Cols(), t.Rows()
-	x, y := t.Coord(cur)
-	dx, dy := t.Coord(dst)
-	if x != dx {
-		fwd := ((dx-x)%cols + cols) % cols // eastward distance
-		dir := topology.DirEast
-		wrap := x == cols-1
-		if back := cols - fwd; back < fwd {
-			dir = topology.DirWest
-			wrap = x == 0
-		}
-		next := vc
-		if wrap {
-			next = 1
-		}
-		return Decision{Dir: dir, VC: next}
-	}
-	fwd := ((dy-y)%rows + rows) % rows // southward distance
-	dir := topology.DirSouth
-	wrap := y == rows-1
-	if back := rows - fwd; back < fwd {
-		dir = topology.DirNorth
-		wrap = y == 0
-	}
-	next := vc
-	if next < 2 {
-		next = 2 // entering the Y dimension
-	}
-	if wrap {
-		next = 3
-	}
-	return Decision{Dir: dir, VC: next}
-}

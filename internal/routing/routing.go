@@ -1,8 +1,8 @@
 // Package routing implements the deterministic routing algorithms the
 // paper assigns to each topology — shortest-direction for the Ring,
 // Across-first for the Spidergon, dimension-order (XY) for the 2D Mesh —
-// plus a table-driven algorithm for irregular topologies and a
-// dimension-order algorithm for the torus extension.
+// plus the YX twin of XY for dimension-order ablations. Every algorithm
+// is a pure function of (node, destination, virtual channel).
 //
 // Deadlock avoidance follows the paper's buffer architecture: Ring and
 // Spidergon channels carry two virtual channels operated as a dateline

@@ -263,55 +263,33 @@ func TestMeshYX(t *testing.T) {
 	}
 }
 
-func TestTorusDORMinimalAndDeadlockFree(t *testing.T) {
-	for _, d := range []struct{ c, r int }{{3, 3}, {4, 4}, {5, 3}, {4, 6}} {
-		tor := topology.MustTorus(d.c, d.r)
-		a := NewTorusDOR(tor)
-		if err := CheckMinimal(a, tor); err != nil {
-			t.Fatalf("torus %dx%d: %v", d.c, d.r, err)
-		}
-		if err := CheckDeadlockFree(a, tor); err != nil {
-			t.Fatalf("torus %dx%d: %v", d.c, d.r, err)
-		}
+// mixedOrder is minimal on a full mesh but turn-unrestricted: XY toward
+// even destinations, YX toward odd ones. Together the two orders take
+// every turn, so the dependency checker must find the cycle that a
+// single dimension order avoids.
+type mixedOrder struct{ xy, yx Algorithm }
+
+func (a mixedOrder) Name() string { return "mixed-order" }
+func (a mixedOrder) VCs() int     { return 1 }
+func (a mixedOrder) Route(cur, dst, vc int) Decision {
+	if dst%2 == 0 {
+		return a.xy.Route(cur, dst, vc)
 	}
+	return a.yx.Route(cur, dst, vc)
 }
 
-func TestTableRoutingMinimalEverywhere(t *testing.T) {
-	tops := []topology.Topology{
-		topology.MustRing(9),
-		topology.MustSpidergon(12),
-		topology.MustMesh(3, 4),
-		topology.MustIrregularMesh(11),
-		topology.MustChordalRing(11, 3),
-		topology.MustTorus(3, 4),
-	}
-	for _, top := range tops {
-		a, err := NewTableRouting(top, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", top.Name(), err)
-		}
-		if err := CheckMinimal(a, top); err != nil {
-			t.Fatalf("%s: %v", top.Name(), err)
-		}
-	}
-}
-
-func TestTableRoutingOnMeshIsDeadlockFree(t *testing.T) {
-	// Ties resolve to lowest channel ID = east-first, which yields an
-	// XY-like table on a full mesh; the checker should confirm.
-	m := topology.MustMesh(4, 4)
-	a, err := NewTableRouting(m, 1)
+func TestUnrestrictedMinimalHasCycle(t *testing.T) {
+	m := topology.MustMesh(3, 3)
+	yx, err := NewMeshYX(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckDeadlockFree(a, m); err != nil {
-		t.Fatalf("table on mesh: %v", err)
+	a := mixedOrder{xy: NewMeshXY(m), yx: yx}
+	if err := CheckMinimal(a, m); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestTableRoutingRejectsZeroVCs(t *testing.T) {
-	if _, err := NewTableRouting(topology.MustRing(5), 0); err == nil {
-		t.Fatal("0 vcs accepted")
+	if err := CheckDeadlockFree(a, m); err == nil {
+		t.Fatal("turn-unrestricted minimal routing reported deadlock-free")
 	}
 }
 

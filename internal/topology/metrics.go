@@ -193,18 +193,42 @@ func LooksVertexSymmetric(t Topology) bool {
 }
 
 // BisectionChannels returns the number of unidirectional channels that
-// cross the canonical bisection of the topology (nodes 0..N/2-1 versus
-// the rest for ring-like node numberings, top half versus bottom half of
-// rows for meshes and tori). For the regular topologies studied here the
-// canonical cut is a minimum bisection, so this matches the textbook
-// bisection width (in channels; halve for physical links).
+// cross a minimum balanced cut of the topology (⌊N/2⌋ nodes against
+// the rest): the textbook bisection width in channels (halve it for
+// physical links). The cut is exact on rings, Spidergon and full
+// meshes, and an upper bound on irregular meshes:
+//   - ring: the contiguous half (ids below N/2), which cuts two links;
+//   - Spidergon: two opposite quarter arcs, which keep every across link
+//     inside one half (exactly one crosses when N ≡ 2 mod 4), so the
+//     cut is 8 channels for N ≡ 0 and 10 for N ≡ 2 (mod 4) — the
+//     contiguous half would cut all N/2 across links;
+//   - full mesh, factor meshes included: the smaller of the balanced
+//     row-major and column-major cuts, i.e. a straight cut across the
+//     longer dimension (with a one-node jog when N is odd);
+//   - irregular mesh: the row-major cut, an upper bound on the minimum.
 func BisectionChannels(t Topology) int {
 	n := t.Nodes()
 	half := n / 2
-	// Node ids are contiguous along rings and row-major on grids, so the
-	// id-based cut is the natural diameter cut for rings/Spidergon and
-	// the horizontal bisection for meshes and tori.
-	inFirst := func(v int) bool { return v < half }
+	lowIDs := func(v int) bool { return v < half }
+	switch g := t.(type) {
+	case *Spidergon:
+		q := n / 4
+		return crossingChannels(t, func(v int) bool { return v < q || (v >= g.half && v < n-q) })
+	case *Mesh:
+		if !g.Irregular() {
+			colMajor := func(v int) bool {
+				x, y := g.Coord(v)
+				return x*g.rows+y < half
+			}
+			return min(crossingChannels(t, lowIDs), crossingChannels(t, colMajor))
+		}
+	}
+	return crossingChannels(t, lowIDs)
+}
+
+// crossingChannels counts the channels with exactly one end in the set
+// inFirst selects.
+func crossingChannels(t Topology, inFirst func(v int) bool) int {
 	cross := 0
 	for _, c := range t.Channels() {
 		if inFirst(c.Src) != inFirst(c.Dst) {

@@ -1,7 +1,7 @@
 // Package topology models the Network-on-Chip interconnect graphs the
 // paper compares: Ring, Spidergon and the 2D Mesh family (ideal square,
 // factorised rectangular, and irregular meshes with a partially filled
-// last row), plus Torus and Chordal-Ring extensions.
+// last row).
 //
 // A topology is a directed multigraph of unidirectional channels: per the
 // paper, "channels as unidirectional pairs of links", so every physical
@@ -17,9 +17,9 @@ import "fmt"
 // the across link") instead of raw neighbour ids.
 type Direction int
 
-// Channel direction classes. Ring-like topologies use Clockwise,
-// CounterClockwise and Across; meshes use the four compass directions;
-// Chord marks the extra links of a chordal ring.
+// Channel direction classes. Ring and Spidergon use Clockwise,
+// CounterClockwise and Across; the mesh family uses the four compass
+// directions.
 const (
 	DirInvalid Direction = iota
 	DirClockwise
@@ -29,8 +29,6 @@ const (
 	DirWest
 	DirNorth
 	DirSouth
-	DirChord
-	DirChordBack
 
 	// DirCount bounds the enum for dense per-direction tables.
 	DirCount
@@ -47,8 +45,6 @@ var dirNames = [DirCount]string{
 	DirWest:             "west",
 	DirNorth:            "north",
 	DirSouth:            "south",
-	DirChord:            "chord",
-	DirChordBack:        "chord-back",
 }
 
 // String returns the lowercase conventional name of the direction, or
@@ -58,34 +54,6 @@ func (d Direction) String() string {
 		return dirNames[d]
 	}
 	return fmt.Sprintf("direction(%d)", int(d))
-}
-
-// Opposite returns the reverse direction class (the direction of the
-// paired channel of the same physical link), or DirInvalid when the
-// direction has no defined opposite.
-func (d Direction) Opposite() Direction {
-	switch d {
-	case DirClockwise:
-		return DirCounterClockwise
-	case DirCounterClockwise:
-		return DirClockwise
-	case DirAcross:
-		return DirAcross
-	case DirEast:
-		return DirWest
-	case DirWest:
-		return DirEast
-	case DirNorth:
-		return DirSouth
-	case DirSouth:
-		return DirNorth
-	case DirChord:
-		return DirChordBack
-	case DirChordBack:
-		return DirChord
-	default:
-		return DirInvalid
-	}
 }
 
 // Channel is one unidirectional link from Src to Dst. ID is the dense
@@ -151,13 +119,6 @@ func (g *graph) addChannel(src, dst int, dir Direction) Channel {
 	g.out[src] = append(g.out[src], c)
 	g.in[dst] = append(g.in[dst], c)
 	return c
-}
-
-// addLink appends both channels of a bidirectional physical link, with
-// the forward channel classed dir and the reverse classed dir.Opposite().
-func (g *graph) addLink(a, b int, dir Direction) {
-	g.addChannel(a, b, dir)
-	g.addChannel(b, a, dir.Opposite())
 }
 
 func (g *graph) Name() string        { return g.name }

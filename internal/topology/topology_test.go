@@ -6,23 +6,19 @@ import (
 	"testing/quick"
 )
 
-// directions lists every Direction in [0, DirCount) with its name and
-// opposite.
+// directions lists every Direction in [0, DirCount) with its name.
 var directions = []struct {
-	d        Direction
-	name     string
-	opposite Direction
+	d    Direction
+	name string
 }{
-	{DirInvalid, "invalid", DirInvalid},
-	{DirClockwise, "cw", DirCounterClockwise},
-	{DirCounterClockwise, "ccw", DirClockwise},
-	{DirAcross, "across", DirAcross},
-	{DirEast, "east", DirWest},
-	{DirWest, "west", DirEast},
-	{DirNorth, "north", DirSouth},
-	{DirSouth, "south", DirNorth},
-	{DirChord, "chord", DirChordBack},
-	{DirChordBack, "chord-back", DirChord},
+	{DirInvalid, "invalid"},
+	{DirClockwise, "cw"},
+	{DirCounterClockwise, "ccw"},
+	{DirAcross, "across"},
+	{DirEast, "east"},
+	{DirWest, "west"},
+	{DirNorth, "north"},
+	{DirSouth, "south"},
 }
 
 // Every direction of the enum has its own non-empty name, and values
@@ -48,23 +44,6 @@ func TestDirectionString(t *testing.T) {
 	for _, d := range []Direction{DirCount, -1} {
 		if got, want := d.String(), fmt.Sprintf("direction(%d)", int(d)); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(d), got, want)
-		}
-	}
-}
-
-// Opposite maps every direction into [0, DirCount), and the opposite of
-// the opposite is the direction itself.
-func TestDirectionOpposite(t *testing.T) {
-	for _, tc := range directions {
-		o := tc.d.Opposite()
-		if o != tc.opposite {
-			t.Errorf("%v.Opposite() = %v, want %v", tc.d, o, tc.opposite)
-		}
-		if o < 0 || o >= DirCount {
-			t.Errorf("%v.Opposite() = %d, outside [0, DirCount)", tc.d, int(o))
-		}
-		if o.Opposite() != tc.d {
-			t.Errorf("%v.Opposite().Opposite() = %v", tc.d, o.Opposite())
 		}
 	}
 }
@@ -351,85 +330,9 @@ func TestFactorMesh(t *testing.T) {
 	}
 }
 
-func TestTorusConstruction(t *testing.T) {
-	tr := MustTorus(4, 4)
-	if tr.Nodes() != 16 || LinkCount(tr) != 64 {
-		t.Fatalf("torus 4x4: nodes=%d links=%d", tr.Nodes(), LinkCount(tr))
-	}
-	for v := 0; v < 16; v++ {
-		if Degree(tr, v) != 4 {
-			t.Fatalf("torus degree(%d) = %d", v, Degree(tr, v))
-		}
-	}
-	// Wraparound: node 0's west neighbor is 3, north neighbor is 12.
-	if w, _ := tr.Neighbor(0, DirWest); w != 3 {
-		t.Fatalf("torus west wrap = %d", w)
-	}
-	if nn, _ := tr.Neighbor(0, DirNorth); nn != 12 {
-		t.Fatalf("torus north wrap = %d", nn)
-	}
-}
-
-func TestTorusDistanceMatchesBFS(t *testing.T) {
-	tr := MustTorus(5, 3)
-	for a := 0; a < tr.Nodes(); a++ {
-		bfs := BFS(tr, a)
-		for b := 0; b < tr.Nodes(); b++ {
-			if tr.Distance(a, b) != bfs[b] {
-				t.Fatalf("torus distance(%d,%d)=%d bfs=%d", a, b, tr.Distance(a, b), bfs[b])
-			}
-		}
-	}
-	if tr.Diameter() != Diameter(tr) {
-		t.Fatal("torus analytic diameter mismatch")
-	}
-}
-
-func TestTorusRejectsSmall(t *testing.T) {
-	if _, err := NewTorus(2, 4); err == nil {
-		t.Fatal("2-wide torus accepted")
-	}
-}
-
-func TestChordalRing(t *testing.T) {
-	c := MustChordalRing(10, 3)
-	if c.Stride() != 3 {
-		t.Fatal("stride")
-	}
-	// Degree 4: cw, ccw, chord out, chord in-reverse.
-	for v := 0; v < 10; v++ {
-		if Degree(c, v) != 4 {
-			t.Fatalf("chordal degree(%d) = %d", v, Degree(c, v))
-		}
-	}
-	if !IsConnected(c) {
-		t.Fatal("chordal ring disconnected")
-	}
-	// Chords shorten paths: ring-10 diameter 5, chordal must be smaller.
-	if Diameter(c) >= 5 {
-		t.Fatalf("chordal diameter = %d, want < 5", Diameter(c))
-	}
-}
-
-func TestChordalRingValidation(t *testing.T) {
-	if _, err := NewChordalRing(10, 5); err == nil {
-		t.Fatal("stride n/2 accepted (should direct to spidergon)")
-	}
-	if _, err := NewChordalRing(10, 1); err == nil {
-		t.Fatal("stride 1 accepted")
-	}
-	if _, err := NewChordalRing(10, 9); err == nil {
-		t.Fatal("stride n-1 accepted")
-	}
-	if _, err := NewChordalRing(4, 2); err == nil {
-		t.Fatal("n=4 accepted")
-	}
-}
-
 func TestChannelIDsDense(t *testing.T) {
 	for _, top := range []Topology{
-		MustRing(8), MustSpidergon(8), MustMesh(3, 3), MustTorus(3, 3),
-		MustIrregularMesh(11), MustChordalRing(9, 2),
+		MustRing(8), MustSpidergon(8), MustMesh(3, 3), MustIrregularMesh(11),
 	} {
 		for i, c := range top.Channels() {
 			if c.ID != i {
@@ -453,7 +356,7 @@ func TestChannelBetween(t *testing.T) {
 func TestInOutConsistency(t *testing.T) {
 	for _, top := range []Topology{
 		MustRing(9), MustSpidergon(10), MustMesh(4, 5),
-		MustIrregularMesh(14), MustTorus(3, 4), MustChordalRing(11, 3),
+		MustIrregularMesh(14),
 	} {
 		outSum, inSum := 0, 0
 		for v := 0; v < top.Nodes(); v++ {
@@ -480,7 +383,7 @@ func TestSymmetricDigraph(t *testing.T) {
 	// Every channel has a reverse channel (unidirectional pairs).
 	for _, top := range []Topology{
 		MustRing(7), MustSpidergon(12), MustMesh(4, 4),
-		MustIrregularMesh(10), MustTorus(3, 3), MustChordalRing(9, 2),
+		MustIrregularMesh(10),
 	} {
 		for _, c := range top.Channels() {
 			if _, ok := ChannelBetween(top, c.Dst, c.Src); !ok {
@@ -496,9 +399,6 @@ func TestLooksVertexSymmetric(t *testing.T) {
 	}
 	if !LooksVertexSymmetric(MustSpidergon(12)) {
 		t.Error("spidergon should be vertex symmetric")
-	}
-	if !LooksVertexSymmetric(MustTorus(4, 4)) {
-		t.Error("torus should be vertex symmetric")
 	}
 	if LooksVertexSymmetric(MustMesh(3, 3)) {
 		t.Error("mesh should not be vertex symmetric")
@@ -524,14 +424,70 @@ func TestBisectionChannels(t *testing.T) {
 	if got := BisectionChannels(MustRing(8)); got != 4 {
 		t.Fatalf("ring bisection = %d, want 4", got)
 	}
-	// Spidergon N: ring cut 4 + N/2 across channels... across links from
-	// i<N/2 go to i+N/2 in the other half: N/2 forward + N/2 reverse.
-	if got := BisectionChannels(MustSpidergon(8)); got != 4+8 {
-		t.Fatalf("spidergon-8 bisection = %d, want 12", got)
+	// Spidergon-8: the quarter arcs {0,1} and {4,5} keep both of their
+	// across links inside, so only the 4 ring links at the arc ends
+	// cross: 8 channels.
+	if got := BisectionChannels(MustSpidergon(8)); got != 8 {
+		t.Fatalf("spidergon-8 bisection = %d, want 8", got)
 	}
 	// 4x4 mesh horizontal cut: 4 links * 2 = 8 channels.
 	if got := BisectionChannels(MustMesh(4, 4)); got != 8 {
 		t.Fatalf("mesh bisection = %d, want 8", got)
+	}
+	// 4x2 mesh: the vertical cut crosses 2 links, the row cut 4.
+	if got := BisectionChannels(MustMesh(4, 2)); got != 4 {
+		t.Fatalf("mesh-4x2 bisection = %d, want 4", got)
+	}
+}
+
+// minBisectionBruteForce returns the fewest channels crossing any cut of
+// t into ⌊N/2⌋ nodes and the rest, by enumerating every such cut.
+func minBisectionBruteForce(t Topology) int {
+	n := t.Nodes()
+	k := n / 2
+	best := -1
+	// Gosper's hack walks every n-bit mask with exactly k bits set.
+	for set := uint32(1)<<k - 1; set < 1<<n; {
+		cross := 0
+		for _, c := range t.Channels() {
+			cross += int((set>>c.Src ^ set>>c.Dst) & 1)
+		}
+		if best < 0 || cross < best {
+			best = cross
+		}
+		low := set & -set
+		ripple := set + low
+		set = ((ripple^set)>>2)/low | ripple
+	}
+	return best
+}
+
+// BisectionChannels is the minimum balanced cut on rings, Spidergon and
+// every full mesh shape (factor meshes among them), and never below it
+// on irregular meshes, for every size an exhaustive search covers.
+func TestBisectionChannelsMatchesBruteForce(t *testing.T) {
+	var exact, bound []Topology
+	for n := 4; n <= 20; n++ {
+		exact = append(exact, MustRing(n))
+		if n%2 == 0 {
+			exact = append(exact, MustSpidergon(n))
+		}
+		for cols := 1; cols <= n; cols++ {
+			if n%cols == 0 {
+				exact = append(exact, MustMesh(cols, n/cols))
+			}
+		}
+		bound = append(bound, MustIrregularMesh(n))
+	}
+	for _, top := range exact {
+		if got, want := BisectionChannels(top), minBisectionBruteForce(top); got != want {
+			t.Errorf("%s: bisection %d, exhaustive minimum %d", top.Name(), got, want)
+		}
+	}
+	for _, top := range bound {
+		if got, lo := BisectionChannels(top), minBisectionBruteForce(top); got < lo {
+			t.Errorf("%s: bisection %d below the exhaustive minimum %d", top.Name(), got, lo)
+		}
 	}
 }
 
